@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint lint-json race race-dist race-hub race-search fuzz check ci bench fingerprint fingerprint-pooled fingerprint-update
+.PHONY: build bench-smoke test vet lint lint-json race race-dist race-hub race-search fuzz check ci bench fingerprint fingerprint-pooled fingerprint-update
 
 # Tier-1 verification: everything must build, vet clean, lint clean,
 # and pass.
@@ -9,6 +9,13 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# The scoreboard benchmark (bench/, its own module) drives the public
+# APIs of the campaign, search and hub packages. Vetting and running its
+# smoke test (~10 s) makes a change to one of those APIs fail here
+# rather than in a benchmark run.
+bench-smoke:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Determinism and concurrency linter (cmd/teledrive-lint): nine
 # repo-specific rules — wallclock, globalrand, maporderfloat, floateq,
@@ -90,8 +97,8 @@ fuzz:
 # lint, race-clean tests, and the short fuzz budget.
 check: build vet lint race fuzz
 
-# One-command CI gate: build + vet + lint + race + fingerprint +
-# fingerprint-pooled, in order, stopping at the first failure
+# One-command CI gate: build + bench-smoke + vet + lint + race +
+# race-hub + race-search + fingerprint + fingerprint-pooled, in order, stopping at the first failure
 # (scripts/ci.sh). Fuzz and the full distributed battery are the
 # slower `check`/`race-dist` add-ons.
 ci:

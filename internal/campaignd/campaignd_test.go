@@ -14,7 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"teledrive/internal/report"
 	"teledrive/internal/telemetry"
 )
 
@@ -57,12 +56,7 @@ func TestDistributedEquivalence(t *testing.T) {
 	}
 
 	// Byte-identical rendered tables (the full report pipeline).
-	var refOut, distOut bytes.Buffer
-	report.WriteCampaignReport(&refOut, ref, "auto", 1)
-	report.WriteCampaignReport(&distOut, cr.res, "auto", 1)
-	if !bytes.Equal(refOut.Bytes(), distOut.Bytes()) {
-		t.Errorf("rendered reports differ:\n--- in-process ---\n%s\n--- distributed ---\n%s", refOut.String(), distOut.String())
-	}
+	assertReportMatchesReference(t, cr.res)
 
 	// Bit-identical trace fingerprints, pinned by the golden.
 	refFP := fingerprints(ref)

@@ -3,6 +3,7 @@ package campaignd
 import (
 	"context"
 	"errors"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -61,18 +62,71 @@ func TestChaosWorkerKilledMidCell(t *testing.T) {
 	}
 }
 
-// TestChaosCoordinatorKilledAndResumed kills the coordinator after two
-// journaled cells, then resumes with a fresh coordinator and fresh
-// workers: only the remaining cells run, and the final tables equal the
-// single-process run.
+// TestChaosCoordinatorKilledAndResumed kills the coordinator twice,
+// each time tearing the journal with a half-written line as a crash
+// mid-append would: after 2 journaled cells, then after 2 more. A third
+// coordinator with fresh workers runs only the remaining cells, and its
+// report is byte-identical to the single-process run and matches the
+// distributed-equivalence golden.
 func TestChaosCoordinatorKilledAndResumed(t *testing.T) {
 	skipInShort(t)
 	journal := filepath.Join(t.TempDir(), "j.jsonl")
+	for range 2 {
+		haltAfter(t, journal, 2)
+		f, err := os.OpenFile(journal, os.O_WRONLY|os.O_APPEND, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.WriteString(`{"cell":5,"worker":"d1","elapsed_ns":12,"outco`); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
 
-	first := &Coordinator{Spec: testSpec(), JournalPath: journal, haltAfterJournaled: 2}
-	addr, done := startCoordinator(t, first, nil)
-	// These workers are collateral damage: the dying coordinator closes
-	// their connections and they error out.
+	// Resume: fresh coordinator, same spec + journal, fresh workers.
+	reg := telemetry.NewRegistry()
+	last := &Coordinator{Spec: testSpec(), JournalPath: journal, Registry: reg}
+	addr, done := startCoordinator(t, last, nil)
+	w1 := runWorker(context.Background(), &Worker{ID: "w1", Capacity: 2}, addr)
+	w2 := runWorker(context.Background(), &Worker{ID: "w2", Capacity: 2}, addr)
+
+	cr := waitCoord(t, done, 2*time.Minute)
+	if cr.err != nil {
+		t.Fatalf("resumed coordinator: %v", cr.err)
+	}
+	if err := <-w1; err != nil {
+		t.Fatalf("w1: %v", err)
+	}
+	if err := <-w2; err != nil {
+		t.Fatalf("w2: %v", err)
+	}
+	assertReportMatchesReference(t, cr.res)
+	plan, err := testSpec().BuildPlan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkEquivalenceGolden(t, equivalenceGolden{Digest: PlanDigest(plan), Fingerprints: fingerprints(cr.res)})
+	assertEqualToReference(t, cr.res)
+
+	// The resume must have replayed exactly the journaled prefix.
+	prom := promDump(t, reg)
+	if !strings.Contains(prom, `campaignd_cells_total{event="restored"} 4`) {
+		t.Errorf("want 4 restored cells on resume, got:\n%s", grepLine(prom, "restored"))
+	}
+	if !strings.Contains(prom, `campaignd_cells_total{event="done"} 2`) {
+		t.Errorf("want 2 freshly run cells on resume, got:\n%s", grepLine(prom, `event="done"`))
+	}
+}
+
+// haltAfter runs a coordinator on journal that dies after n cells are
+// journaled in this run. Its workers are collateral damage: the dying
+// coordinator closes their connections and they error out.
+func haltAfter(t *testing.T, journal string, n int) {
+	t.Helper()
+	coord := &Coordinator{Spec: testSpec(), JournalPath: journal, haltAfterJournaled: n}
+	addr, done := startCoordinator(t, coord, nil)
 	doomed1 := runWorker(context.Background(), &Worker{ID: "d1", Capacity: 1}, addr)
 	doomed2 := runWorker(context.Background(), &Worker{ID: "d2", Capacity: 1}, addr)
 
@@ -85,34 +139,6 @@ func TestChaosCoordinatorKilledAndResumed(t *testing.T) {
 	}
 	if err := <-doomed2; err == nil {
 		t.Error("doomed worker 2 survived its coordinator")
-	}
-
-	// Resume: fresh coordinator, same spec + journal, fresh workers.
-	reg := telemetry.NewRegistry()
-	second := &Coordinator{Spec: testSpec(), JournalPath: journal, Registry: reg}
-	addr2, done2 := startCoordinator(t, second, nil)
-	w1 := runWorker(context.Background(), &Worker{ID: "w1", Capacity: 2}, addr2)
-	w2 := runWorker(context.Background(), &Worker{ID: "w2", Capacity: 2}, addr2)
-
-	cr2 := waitCoord(t, done2, 2*time.Minute)
-	if cr2.err != nil {
-		t.Fatalf("resumed coordinator: %v", cr2.err)
-	}
-	if err := <-w1; err != nil {
-		t.Fatalf("w1: %v", err)
-	}
-	if err := <-w2; err != nil {
-		t.Fatalf("w2: %v", err)
-	}
-	assertEqualToReference(t, cr2.res)
-
-	// The resume must have replayed exactly the journaled prefix.
-	prom := promDump(t, reg)
-	if !strings.Contains(prom, `campaignd_cells_total{event="restored"} 2`) {
-		t.Errorf("want 2 restored cells on resume, got:\n%s", grepLine(prom, "restored"))
-	}
-	if !strings.Contains(prom, `campaignd_cells_total{event="done"} 4`) {
-		t.Errorf("want 4 freshly run cells on resume, got:\n%s", grepLine(prom, `event="done"`))
 	}
 }
 

@@ -459,7 +459,7 @@ func (c *Coordinator) handshake(conn net.Conn, seq int, planMsg *msg, ins *coord
 // aggregation: analyses are recomputed locally from the (bit-exact)
 // run logs, so the distributed Result is indistinguishable from
 // `campaign -workers N` output.
-func (c *Coordinator) assembleResult(plan *campaign.Plan, j *journal, started time.Time) (*campaign.Result, error) {
+func (c *Coordinator) assembleResult(plan *campaign.Plan, j *cellJournal, started time.Time) (*campaign.Result, error) {
 	results := make([]*core.Result, len(plan.Cells))
 	for ci := range plan.Cells {
 		out, ok := j.outcomes[ci]

@@ -1,6 +1,7 @@
 package campaignd
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"net"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"teledrive/internal/campaign"
+	"teledrive/internal/report"
 	"teledrive/internal/scenario"
 	"teledrive/internal/trace"
 )
@@ -41,10 +43,12 @@ func testSpec() Spec {
 
 // referenceOnce caches the single-process reference run for testSpec():
 // every equivalence assertion in the battery diffs against the same
-// `campaign -workers 2` result.
+// `campaign -workers 2` result. Its rendered report is taken at once,
+// before any test strips the shared result's volatile fields.
 var (
 	referenceOnce sync.Once
 	referenceRes  *campaign.Result
+	referenceText []byte
 	referenceErr  error
 )
 
@@ -58,11 +62,28 @@ func referenceResult(t *testing.T) *campaign.Result {
 		}
 		cfg.Workers = 2
 		referenceRes, referenceErr = campaign.Run(cfg)
+		if referenceErr == nil {
+			var buf bytes.Buffer
+			report.WriteCampaignReport(&buf, referenceRes, "auto", 1)
+			referenceText = buf.Bytes()
+		}
 	})
 	if referenceErr != nil {
 		t.Fatalf("reference campaign: %v", referenceErr)
 	}
 	return referenceRes
+}
+
+// assertReportMatchesReference renders res and requires it to be
+// byte-identical to the reference run's report.
+func assertReportMatchesReference(t *testing.T, res *campaign.Result) {
+	t.Helper()
+	referenceResult(t)
+	var got bytes.Buffer
+	report.WriteCampaignReport(&got, res, "auto", 1)
+	if !bytes.Equal(referenceText, got.Bytes()) {
+		t.Errorf("rendered reports differ:\n--- in-process ---\n%s\n--- distributed ---\n%s", referenceText, got.String())
+	}
 }
 
 // stripVolatile zeroes wall-clock fields and drops the func-carrying

@@ -1,33 +1,20 @@
 package campaignd
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 
+	"teledrive/internal/journal"
 	"teledrive/internal/rds"
 )
 
 // journalMagic identifies a campaignd checkpoint file.
 const journalMagic = "teledrive-campaignd"
 
-// journalHeader is the first JSONL line: it pins the journal to one
-// exact plan (by digest), so a resumed coordinator can never silently
-// mix checkpoints from a different seed, subject set, or binary.
-type journalHeader struct {
-	Journal string `json:"journal"`
-	V       int    `json:"v"`
-	Digest  string `json:"digest"`
-	Cells   int    `json:"cells"`
-}
-
 // journalEntry is one completed cell: its index, the worker-measured
 // wall-clock cost, and the full outcome JSON as produced by the worker.
-// Appends are atomic at line granularity; a torn final line (the
-// coordinator died mid-write) is detected and dropped on load.
 type journalEntry struct {
 	Cell      int             `json:"cell"`
 	Worker    string          `json:"worker,omitempty"`
@@ -35,12 +22,11 @@ type journalEntry struct {
 	Outcome   json.RawMessage `json:"outcome"`
 }
 
-// journal is the coordinator's crash-recovery log. All access is from
-// the coordinator event loop.
-type journal struct {
-	f *os.File
-	w *bufio.Writer
-	// outcomes holds the decoded result of every journaled cell.
+// cellJournal is the coordinator's crash-recovery log: a journal file
+// pinned to the plan digest and cell count, plus the decoded result of
+// every journaled cell. All access is from the coordinator event loop.
+type cellJournal struct {
+	file     *journal.Journal
 	outcomes map[int]*rds.Outcome
 	elapsed  map[int]int64
 }
@@ -50,127 +36,43 @@ type journal struct {
 // different plan is an error, not a silent restart. An empty path
 // returns an in-memory journal (no crash recovery — tests and one-shot
 // runs).
-func openJournal(path, digest string, cells int) (*journal, error) {
-	j := &journal{
+func openJournal(path, digest string, cells int) (*cellJournal, error) {
+	j := &cellJournal{
 		outcomes: make(map[int]*rds.Outcome),
 		elapsed:  make(map[int]int64),
 	}
-	if path == "" {
-		return j, nil
-	}
-
-	existing, err := os.ReadFile(path)
-	switch {
-	case os.IsNotExist(err):
-		// Fresh journal below.
-	case err != nil:
-		return nil, fmt.Errorf("campaignd: journal: %w", err)
-	case len(existing) > 0:
-		if err := j.replay(existing, digest, cells); err != nil {
-			return nil, err
-		}
-	}
-
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("campaignd: journal: %w", err)
-	}
-	j.f = f
-	j.w = bufio.NewWriter(f)
-	if len(existing) == 0 {
-		hdr, err := json.Marshal(journalHeader{Journal: journalMagic, V: 1, Digest: digest, Cells: cells})
-		if err != nil {
-			return nil, err
-		}
-		if _, err := j.w.Write(append(hdr, '\n')); err != nil {
-			return nil, err
-		}
-		if err := j.w.Flush(); err != nil {
-			return nil, err
-		}
-	}
-	return j, nil
-}
-
-// replay loads a pre-existing journal. The final line may be torn (no
-// trailing newline, or unparseable) — the coordinator died mid-append —
-// and is dropped; any earlier malformed line means real corruption and
-// fails loudly.
-func (j *journal) replay(data []byte, digest string, cells int) error {
-	lines := bytes.Split(data, []byte("\n"))
-	// A well-formed journal ends with '\n', so the last split element is
-	// empty; anything else is a torn tail.
-	torn := len(lines[len(lines)-1]) > 0
-	complete := lines[:len(lines)-1]
-
-	if len(complete) == 0 {
-		if torn {
-			return nil // died while writing the header: treat as fresh
-		}
-		return nil
-	}
-	var hdr journalHeader
-	if err := json.Unmarshal(complete[0], &hdr); err != nil || hdr.Journal != journalMagic {
-		return fmt.Errorf("campaignd: journal: not a campaignd journal (bad header)")
-	}
-	if hdr.Digest != digest {
-		return fmt.Errorf("campaignd: journal was written for a different plan (journal digest %.12s…, plan digest %.12s…) — refusing to resume", hdr.Digest, digest)
-	}
-	if hdr.Cells != cells {
-		return fmt.Errorf("campaignd: journal plan has %d cells, current plan has %d — refusing to resume", hdr.Cells, cells)
-	}
-	for i, line := range complete[1:] {
-		var e journalEntry
-		if err := json.Unmarshal(line, &e); err != nil {
-			return fmt.Errorf("campaignd: journal line %d corrupt: %w", i+2, err)
-		}
+	hdr := journal.Header{Journal: journalMagic, V: 1, Digest: digest, Cells: &cells}
+	f, err := journal.Open(path, hdr, func(e journalEntry) error {
 		if e.Cell < 0 || e.Cell >= cells {
-			return fmt.Errorf("campaignd: journal line %d: cell %d out of range", i+2, e.Cell)
+			return fmt.Errorf("cell %d out of range", e.Cell)
 		}
 		if _, dup := j.outcomes[e.Cell]; dup {
-			continue // first write wins, even across restarts
+			return nil // first write wins, even across restarts
 		}
 		out, err := decodeOutcome(e.Outcome)
 		if err != nil {
-			return fmt.Errorf("campaignd: journal line %d: %w", i+2, err)
+			return err
 		}
 		j.outcomes[e.Cell] = out
 		j.elapsed[e.Cell] = e.ElapsedNS
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return nil
+	j.file = f
+	return j, nil
 }
 
-// append records one completed cell: the decoded outcome in memory and,
-// when backed by a file, the raw entry as one flushed JSONL line.
-func (j *journal) append(e journalEntry, out *rds.Outcome) error {
+// append records one completed cell: the decoded outcome in memory and
+// the raw entry as one journal line.
+func (j *cellJournal) append(e journalEntry, out *rds.Outcome) error {
 	j.outcomes[e.Cell] = out
 	j.elapsed[e.Cell] = e.ElapsedNS
-	if j.w == nil {
-		return nil
-	}
-	line, err := json.Marshal(e)
-	if err != nil {
-		return err
-	}
-	if _, err := j.w.Write(append(line, '\n')); err != nil {
-		return fmt.Errorf("campaignd: journal write: %w", err)
-	}
-	if err := j.w.Flush(); err != nil {
-		return fmt.Errorf("campaignd: journal flush: %w", err)
-	}
-	return nil
+	return j.file.Append(e)
 }
 
-func (j *journal) close() error {
-	if j.f == nil {
-		return nil
-	}
-	if err := j.w.Flush(); err != nil {
-		j.f.Close()
-		return err
-	}
-	return j.f.Close()
-}
+func (j *cellJournal) close() error { return j.file.Close() }
 
 // decodeOutcome parses a worker-produced outcome JSON. The round-trip
 // is exact: Go's JSON encoder emits the shortest float64 representation

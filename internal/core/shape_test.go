@@ -9,7 +9,8 @@ import (
 
 // These tests pin the paper-shape properties the driver calibration was
 // tuned for, on a small number of runs so they are cheap enough for the
-// regular suite. The full-population sweeps live behind TELEDRIVE_CALIB.
+// regular suite. Full-population views come from cmd/sweep and
+// cmd/campaign.
 
 func followWith(t *testing.T, name string, cond faultinject.Condition, seed int64) *Result {
 	t.Helper()

@@ -1,24 +1,13 @@
 package search
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"os"
+
+	"teledrive/internal/journal"
 )
 
 // journalMagic identifies an adversarial-search journal file.
 const journalMagic = "teledrive-search"
-
-// journalHeader is the first JSONL line: it pins the journal to one
-// exact search configuration (by digest), so a resumed search can never
-// silently mix trajectories from a different seed, space, or scoring.
-type journalHeader struct {
-	Journal string `json:"journal"`
-	V       int    `json:"v"`
-	Digest  string `json:"digest"`
-}
 
 // Entry is one evaluated cell of the search trajectory. The trajectory
 // is a pure function of the search options, so (Gen, Slot) fully
@@ -44,15 +33,14 @@ type Entry struct {
 // GenSlot keys a journal entry by its trajectory position.
 type GenSlot struct{ Gen, Slot int }
 
-// Journal is the search's crash-recovery log: an append-only JSONL file
-// with one flushed line per evaluated cell, written strictly in
-// (gen, slot) order. Because the search trajectory is deterministic, a
-// journal resumed mid-run and driven to completion is byte-identical to
-// one written in a single run — the same-seed identity check in CI
+// Journal is the search's crash-recovery log: a journal file pinned to
+// the search digest, with one line per evaluated cell, written strictly
+// in (gen, slot) order. Because the search trajectory is deterministic,
+// a journal resumed mid-run and driven to completion is byte-identical
+// to one written in a single run — the same-seed identity check in CI
 // compares the files directly. All access is from the driver loop.
 type Journal struct {
-	f       *os.File
-	w       *bufio.Writer
+	file    *journal.Journal
 	entries map[GenSlot]Entry
 }
 
@@ -62,89 +50,21 @@ type Journal struct {
 // empty path returns an in-memory journal (no crash recovery).
 func OpenJournal(path, digest string) (*Journal, error) {
 	j := &Journal{entries: make(map[GenSlot]Entry)}
-	if path == "" {
-		return j, nil
-	}
-
-	existing, err := os.ReadFile(path)
-	keep := 0
-	switch {
-	case os.IsNotExist(err):
-		existing = nil
-	case err != nil:
-		return nil, fmt.Errorf("search: journal: %w", err)
-	default:
-		keep, err = j.replay(existing, digest)
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("search: journal: %w", err)
-	}
-	// Truncate any torn tail (a line the previous run died inside) so
-	// appends continue from the last complete line and the finished file
-	// is byte-identical to an uninterrupted run's.
-	if err := f.Truncate(int64(keep)); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("search: journal: %w", err)
-	}
-	if _, err := f.Seek(int64(keep), 0); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("search: journal: %w", err)
-	}
-	j.f = f
-	j.w = bufio.NewWriter(f)
-	if keep == 0 {
-		hdr, err := json.Marshal(journalHeader{Journal: journalMagic, V: 1, Digest: digest})
-		if err != nil {
-			return nil, err
-		}
-		if _, err := j.w.Write(append(hdr, '\n')); err != nil {
-			return nil, err
-		}
-		if err := j.w.Flush(); err != nil {
-			return nil, err
-		}
-	}
-	return j, nil
-}
-
-// replay loads a pre-existing journal and returns the byte length of
-// its complete-line prefix. The final line may be torn (no trailing
-// newline) — the previous run died mid-append — and is dropped; any
-// earlier malformed line means real corruption and fails loudly.
-func (j *Journal) replay(data []byte, digest string) (int, error) {
-	lines := bytes.Split(data, []byte("\n"))
-	// A well-formed journal ends with '\n', so the last split element is
-	// empty; anything else is a torn tail.
-	complete := lines[:len(lines)-1]
-	if len(complete) == 0 {
-		return 0, nil // died while writing the header: treat as fresh
-	}
-	var hdr journalHeader
-	if err := json.Unmarshal(complete[0], &hdr); err != nil || hdr.Journal != journalMagic {
-		return 0, fmt.Errorf("search: journal: not a search journal (bad header)")
-	}
-	if hdr.Digest != digest {
-		return 0, fmt.Errorf("search: journal was written for a different search (journal digest %.12s…, search digest %.12s…) — refusing to resume", hdr.Digest, digest)
-	}
-	keep := len(complete[0]) + 1
-	for i, line := range complete[1:] {
-		var e Entry
-		if err := json.Unmarshal(line, &e); err != nil {
-			return 0, fmt.Errorf("search: journal line %d corrupt: %w", i+2, err)
-		}
+	hdr := journal.Header{Journal: journalMagic, V: 1, Digest: digest}
+	f, err := journal.Open(path, hdr, func(e Entry) error {
+		// Entries are written once each, in order: a repeat is damage.
 		key := GenSlot{e.Gen, e.Slot}
 		if _, dup := j.entries[key]; dup {
-			return 0, fmt.Errorf("search: journal line %d: duplicate cell gen %d slot %d", i+2, e.Gen, e.Slot)
+			return fmt.Errorf("duplicate cell gen %d slot %d", e.Gen, e.Slot)
 		}
 		j.entries[key] = e
-		keep += len(line) + 1
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return keep, nil
+	j.file = f
+	return j, nil
 }
 
 // Cached returns the journaled entry for a trajectory position, if any.
@@ -156,40 +76,17 @@ func (j *Journal) Cached(gen, slot int) (Entry, bool) {
 // Len counts journaled cells.
 func (j *Journal) Len() int { return len(j.entries) }
 
-// Append records one evaluated cell; when backed by a file it is
-// written and flushed as one JSONL line. Appending a position that is
-// already journaled is a no-op (the resume path re-proposes journaled
-// cells).
+// Append records one evaluated cell as one journal line. Appending a
+// position that is already journaled is a no-op (the resume path
+// re-proposes journaled cells).
 func (j *Journal) Append(e Entry) error {
 	key := GenSlot{e.Gen, e.Slot}
 	if _, dup := j.entries[key]; dup {
 		return nil
 	}
 	j.entries[key] = e
-	if j.w == nil {
-		return nil
-	}
-	line, err := json.Marshal(e)
-	if err != nil {
-		return err
-	}
-	if _, err := j.w.Write(append(line, '\n')); err != nil {
-		return fmt.Errorf("search: journal write: %w", err)
-	}
-	if err := j.w.Flush(); err != nil {
-		return fmt.Errorf("search: journal flush: %w", err)
-	}
-	return nil
+	return j.file.Append(e)
 }
 
-// Close flushes and closes the backing file, if any.
-func (j *Journal) Close() error {
-	if j.f == nil {
-		return nil
-	}
-	if err := j.w.Flush(); err != nil {
-		j.f.Close()
-		return err
-	}
-	return j.f.Close()
-}
+// Close closes the backing file, if any.
+func (j *Journal) Close() error { return j.file.Close() }

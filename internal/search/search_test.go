@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -406,6 +407,8 @@ func TestJournalRefusesForeignDigest(t *testing.T) {
 	}
 }
 
+// TestJournalInteriorCorruptionIsLoud pins the search's duplicate
+// policy: a cell journaled twice is corruption, not a retry.
 func TestJournalInteriorCorruptionIsLoud(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "search.jsonl")
@@ -427,12 +430,12 @@ func TestJournalInteriorCorruptionIsLoud(t *testing.T) {
 		t.Fatal(err)
 	}
 	lines := bytes.SplitAfter(data, []byte("\n"))
-	lines[2] = []byte("not json\n")
+	lines[2] = lines[1]
 	if err := os.WriteFile(path, bytes.Join(lines, nil), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenJournal(path, opts.Digest()); err == nil {
-		t.Fatal("journal accepted interior corruption")
+	if _, err := OpenJournal(path, opts.Digest()); err == nil || !strings.Contains(err.Error(), "line 3 corrupt: duplicate cell") {
+		t.Fatalf("journal accepted a duplicated cell: %v", err)
 	}
 }
 

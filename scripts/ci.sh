@@ -1,7 +1,8 @@
 #!/bin/sh
 # ci.sh — the one-command verification gate for a PR branch:
-# build + vet + lint + race + race-hub + race-search + fingerprint +
-# fingerprint-pooled, in order, stopping at the first failure. Slower batteries are separate opt-ins: `make fuzz`
+# build + bench-smoke + vet + lint + race + race-hub + race-search +
+# fingerprint + fingerprint-pooled, in order, stopping at the first
+# failure. Slower batteries are separate opt-ins: `make fuzz`
 # (hostile-input budget), `make race-dist` (full distributed campaign
 # battery over localhost TCP), `make bench` (paper tables).
 #
@@ -16,6 +17,8 @@ stage() {
 
 stage make build
 make build
+stage make bench-smoke
+make bench-smoke
 stage make vet
 make vet
 stage make lint
