@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build bench-smoke test vet lint lint-json race race-dist race-hub race-search fuzz check ci bench fingerprint fingerprint-pooled fingerprint-update
+.PHONY: build bench-smoke fmt-check test vet lint lint-json race race-dist race-hub race-search fuzz check ci bench fingerprint fingerprint-pooled fingerprint-hub fingerprint-update
 
 # Tier-1 verification: everything must build, vet clean, lint clean,
 # and pass.
@@ -9,6 +9,14 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Every tracked Go file must be gofmt-clean. testdata trees are skipped:
+# they hold deliberately malformed fixtures (the lint loader's
+# parse-error case), which gofmt cannot format.
+fmt-check:
+	@files=$$(git ls-files '*.go' | grep -v '\(^\|/\)testdata/'); \
+	bad=$$(gofmt -l $$files); \
+	if [ -n "$$bad" ]; then echo "fmt-check: not gofmt-clean:"; echo "$$bad"; exit 1; fi
 
 # The scoreboard benchmark (bench/, its own module) drives the public
 # APIs of the campaign, search and hub packages. Vetting and running its
@@ -97,8 +105,9 @@ fuzz:
 # lint, race-clean tests, and the short fuzz budget.
 check: build vet lint race fuzz
 
-# One-command CI gate: build + bench-smoke + vet + lint + race +
-# race-hub + race-search + fingerprint + fingerprint-pooled, in order, stopping at the first failure
+# One-command CI gate: build + bench-smoke + fmt-check + vet + lint +
+# race + race-hub + race-search + fingerprint + fingerprint-pooled +
+# fingerprint-hub, in order, stopping at the first failure
 # (scripts/ci.sh). Fuzz and the full distributed battery are the
 # slower `check`/`race-dist` add-ons.
 ci:
@@ -132,6 +141,13 @@ fingerprint:
 # allocation.
 fingerprint-pooled:
 	$(GO) run ./cmd/fingerprint -pooled
+
+# Tenancy safety net: all six canonical cells run concurrently as
+# sessions of one hub, twice (the second pass on recycled arenas), and
+# every session's digest must match the goldens recorded when the
+# cells ran alone.
+fingerprint-hub:
+	$(GO) run ./cmd/fingerprint -hub
 
 fingerprint-update:
 	$(GO) run ./cmd/fingerprint -update

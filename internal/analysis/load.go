@@ -206,8 +206,8 @@ func (l *Loader) Load(dir string) (*Pass, error) {
 	pkg, _ := conf.Check(pkgPath, l.Fset, files, info)
 	if truncated > 0 {
 		typeDiags = append(typeDiags, Diagnostic{
-			Pos:  typeDiags[len(typeDiags)-1].Pos,
-			Rule: "lint",
+			Pos:     typeDiags[len(typeDiags)-1].Pos,
+			Rule:    "lint",
 			Message: fmt.Sprintf("type-check failed: %d further errors in this package not shown", truncated),
 		})
 	}

@@ -46,9 +46,9 @@ func NewInstruments(reg *telemetry.Registry) *Instruments {
 	cells := reg.CounterVec("teledrive_campaign_cells_total",
 		"Campaign cells by lifecycle event (planned/done/failed).", "event")
 	return &Instruments{
-		CellsPlanned:  cells.With("planned"),
-		CellsOK:       cells.With("done"),
-		CellsFailed:   cells.With("failed"),
+		CellsPlanned: cells.With("planned"),
+		CellsOK:      cells.With("done"),
+		CellsFailed:  cells.With("failed"),
 		CellsInFlight: reg.Gauge("teledrive_campaign_cells_in_flight",
 			"Cells currently simulating on the worker pool."),
 		Workers: reg.Gauge("teledrive_campaign_workers",

@@ -9,22 +9,25 @@ import "math"
 //
 // The index is an accelerator, never an oracle: queries evaluate
 // candidate segments with the exact same float operations as the linear
-// reference scan (Path.projectSeg) and only skip cells whose
-// lower-bound distance strictly exceeds the best distance found so far.
-// A skipped segment therefore cannot win — or even tie — the
-// min-distance comparison, which is why the indexed result is
-// bit-identical to the linear scan (see DESIGN.md §7 and the
-// equivalence tests in path_test.go).
+// reference scan (Path.considerSeg) and only skip cells whose
+// lower-bound distance exceeds the best distance found so far by a
+// margin that covers rounding (pruneLimit). A skipped segment
+// therefore cannot win — or even tie — the min-distance comparison,
+// which is why the indexed result is bit-identical to the linear scan
+// (see DESIGN.md §8 and the equivalence tests in grid_test.go).
 type segGrid struct {
 	originX, originY float64
 	cell             float64 // cell edge length, metres
 	invCell          float64
 	nx, ny           int
+	// slack is the absolute pruning margin (metres), proportional to
+	// the magnitude of the grid's coordinates; see pruneLimit.
+	slack float64
 	// CSR layout: items[start[c] : start[c+1]] lists the segment
 	// indices registered in cell c, with c = iy*nx + ix. Segments are
 	// registered in every cell they pass through (conservative x-slab
 	// rasterization), so duplicates across cells are expected; queries
-	// tolerate re-evaluating a segment because projectSeg is pure.
+	// tolerate re-evaluating a segment because considerSeg is pure.
 	start []int32
 	items []int32
 }
@@ -72,6 +75,8 @@ func buildSegGrid(pts []Vec2, totalLen float64) *segGrid {
 		}
 		cell *= 2
 	}
+	g.slack = 1e-9 * max(math.Abs(minX), math.Abs(minY),
+		math.Abs(minX+float64(g.nx)*g.cell), math.Abs(minY+float64(g.ny)*g.cell))
 
 	// Two-pass CSR fill: count registrations per cell, prefix-sum, then
 	// place the segment indices.
@@ -153,22 +158,36 @@ func clampCell(v float64, n int) int {
 	return int(v)
 }
 
-// ringLowerBound returns a lower bound on the distance from q to any
-// unscanned cell — a cell at Chebyshev ring r or beyond around
-// (cx, cy). Every registered segment lies inside the union of its
-// cells, and every unscanned cell lies inside the grid's bounding box
-// but outside the box covering rings 0..r-1, so the distance from q to
-// that difference region bounds every segment not yet considered. The
-// region is at most four axis-aligned slabs (the parts of the grid box
-// left/right/below/above the scanned box), each an exact point-to-AABB
-// distance. +Inf when the rings already cover the whole grid; this
-// formulation also prunes for queries *outside* the grid box, where a
-// bound against the scanned box alone would stay zero forever and the
-// search would degenerate to visiting every cell.
-func (g *segGrid) ringLowerBound(q Vec2, cx, cy, r int) float64 {
-	if r == 0 {
-		return 0
-	}
+// pruneLimit is the squared distance beyond which a region cannot hold
+// a segment that wins or ties against best: a region is skipped only
+// when its squared lower-bound distance exceeds it. A candidate's squared
+// distance and a region's bound are rounded by different operations
+// (segment point vs cell edge), and far from the grid the two can round
+// apart by an ulp of the query's magnitude, so an exact bound would
+// prune a tying segment. The threshold therefore widens sqrt(best) by a
+// relative margin, for the rounding of the subtractions and squares,
+// and by the grid's absolute slack, for the rounding of segment points
+// and cell edges. Both are orders of magnitude above the rounding and
+// far below any distance that matters for pruning.
+func (g *segGrid) pruneLimit(best float64) float64 {
+	const rel = 1e-9
+	s := math.Sqrt(best)*(1+rel) + g.slack
+	return s * s
+}
+
+// ringDistSq returns a lower bound on the squared distance from q to
+// any unscanned cell — a cell at Chebyshev ring r or beyond around
+// (cx, cy), r >= 1. Every registered segment lies inside the union of
+// its cells, and every unscanned cell lies inside the grid's bounding
+// box but outside the box covering rings 0..r-1, so the distance from q
+// to that difference region bounds every segment not yet considered.
+// The region is at most four axis-aligned slabs (the parts of the grid
+// box left/right/below/above the scanned box), each an exact
+// point-to-AABB distance. +Inf when the rings already cover the whole
+// grid; this formulation also prunes for queries *outside* the grid
+// box, where a bound against the scanned box alone would stay zero
+// forever and the search would degenerate to visiting every cell.
+func (g *segGrid) ringDistSq(q Vec2, cx, cy, r int) float64 {
 	gx1 := g.originX + float64(g.nx)*g.cell
 	gy1 := g.originY + float64(g.ny)*g.cell
 	bx0 := g.originX + float64(cx-(r-1))*g.cell
@@ -177,26 +196,39 @@ func (g *segGrid) ringLowerBound(q Vec2, cx, cy, r int) float64 {
 	by1 := g.originY + float64(cy+r)*g.cell
 	best := math.Inf(1)
 	if bx0 > g.originX { // slab left of the scanned box
-		best = math.Min(best, rectDist(q, g.originX, g.originY, bx0, gy1))
+		best = min(best, rectDistSq(q, g.originX, g.originY, bx0, gy1))
 	}
 	if bx1 < gx1 { // slab right of the scanned box
-		best = math.Min(best, rectDist(q, bx1, g.originY, gx1, gy1))
+		best = min(best, rectDistSq(q, bx1, g.originY, gx1, gy1))
 	}
 	if by0 > g.originY { // strip below
-		best = math.Min(best, rectDist(q, g.originX, g.originY, gx1, by0))
+		best = min(best, rectDistSq(q, g.originX, g.originY, gx1, by0))
 	}
 	if by1 < gy1 { // strip above
-		best = math.Min(best, rectDist(q, g.originX, by1, gx1, gy1))
+		best = min(best, rectDistSq(q, g.originX, by1, gx1, gy1))
 	}
 	return best
 }
 
-// rectDist is the Euclidean distance from q to the axis-aligned
-// rectangle [x0,x1]×[y0,y1]; zero inside. NaN coordinates propagate to
-// a NaN result, which the caller's strict > comparison treats as "no
-// bound" — NaN queries scan everything, exactly like the linear path.
+// cellDistSq returns the squared distance from q to cell (ix, iy).
+func (g *segGrid) cellDistSq(q Vec2, ix, iy int) float64 {
+	x0 := g.originX + float64(ix)*g.cell
+	y0 := g.originY + float64(iy)*g.cell
+	return rectDistSq(q, x0, y0, x0+g.cell, y0+g.cell)
+}
+
+// rectDistSq is the squared Euclidean distance from q to the
+// axis-aligned rectangle [x0,x1]×[y0,y1]; zero inside. NaN coordinates
+// propagate to a NaN result, which the caller's strict > comparison
+// treats as "no bound" — NaN queries scan everything, exactly like the
+// linear path.
+func rectDistSq(q Vec2, x0, y0, x1, y1 float64) float64 {
+	dx := max(0, x0-q.X, q.X-x1)
+	dy := max(0, y0-q.Y, q.Y-y1)
+	return dx*dx + dy*dy
+}
+
+// rectDist is the Euclidean distance from q to the rectangle.
 func rectDist(q Vec2, x0, y0, x1, y1 float64) float64 {
-	dx := math.Max(0, math.Max(x0-q.X, q.X-x1))
-	dy := math.Max(0, math.Max(y0-q.Y, q.Y-y1))
-	return math.Sqrt(dx*dx + dy*dy)
+	return math.Sqrt(rectDistSq(q, x0, y0, x1, y1))
 }

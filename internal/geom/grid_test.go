@@ -76,6 +76,39 @@ func TestProjectEquivalence(t *testing.T) {
 			checkEquivalence(t, p, q, rng.Intn(len(p.pts)+4)-2) // hints incl. out of range
 		}
 	}
+	// Warm projectors tracking a moving actor along the Town5
+	// reference line, on it and at lane (±3.5 m) and off-road (±20 m)
+	// offsets: the hint path and the per-cell prune in steady state.
+	p := town5Reference()
+	if p.grid == nil {
+		t.Fatal("Town5 reference is not gridded")
+	}
+	for _, off := range []float64{0, 3.5, -3.5, 20, -20} {
+		pr := NewProjector(p)
+		rng := rand.New(rand.NewSource(int64(off * 10)))
+		for s := -5.0; s < p.Length()+5; s += 0.3 {
+			pose := p.PoseAt(s)
+			q := pose.Pos.Add(pose.Forward().Perp().Scale(off + rng.Float64()*0.2 - 0.1))
+			checkEquivalence(t, p, q, pr.hint)
+			_, ls, ll := p.projectLinear(q)
+			ws, wl := pr.Project(q)
+			if math.Float64bits(ws) != math.Float64bits(ls) || math.Float64bits(wl) != math.Float64bits(ll) {
+				t.Fatalf("offset %v station %v: projector (%v, %v) != linear (%v, %v)", off, s, ws, wl, ls, ll)
+			}
+		}
+	}
+}
+
+// town5Reference is the reference line of world.Town5: the route the
+// driver, the trace recorder and the lane sensor project onto.
+func town5Reference() *Path {
+	return NewPathBuilder(Pose{}).
+		Straight(400).
+		Arc(220, -math.Pi/4).
+		Straight(300).
+		Arc(180, math.Pi/3).
+		Straight(450).
+		MustBuild()
 }
 
 // TestProjectEquivalenceNonFinite covers NaN and infinite queries: both

@@ -155,58 +155,70 @@ func (p *Path) Project(q Vec2) (station, lateral float64) {
 	return station, lateral
 }
 
-// projectSeg computes the squared distance from q to segment i along
-// with the projection's station and signed lateral offset. Both the
-// linear reference scan and the grid-indexed search funnel their
-// comparisons through this one helper, so the two code paths execute
-// the same float operations on the winning segment — the foundation of
-// the bit-identity the equivalence tests assert.
-func (p *Path) projectSeg(i int, q Vec2) (d, station, lateral float64) {
-	a, b := p.pts[i], p.pts[i+1]
-	ab := b.Sub(a)
-	t := Clamp(q.Sub(a).Dot(ab)/ab.LenSq(), 0, 1)
-	c := a.Add(ab.Scale(t))
-	d = q.DistSq(c)
-	station = p.cum[i] + ab.Len()*t
-	// Positive lateral when q is to the left of the segment direction.
-	lateral = math.Sqrt(d)
-	if ab.Cross(q.Sub(a)) < 0 {
-		lateral = -lateral
-	}
-	return d, station, lateral
-}
-
 // projState accumulates the running minimum of a projection query. The
 // winner is the lexicographic minimum of (distance, segment index),
 // which is exactly what the original linear scan's strict-less update
 // produced: the first segment to reach the minimal distance wins.
+//
+// Only the winner's squared distance and clamped segment parameter are
+// kept; its station and lateral offset are derived once, by result.
 type projState struct {
 	bestD   float64
 	bestIdx int
-	station float64
-	lateral float64
+	bestT   float64
 }
 
-// considerSeg folds segment i into the running minimum.
+func newProjState() projState {
+	return projState{bestD: math.Inf(1), bestIdx: -1}
+}
+
+// considerSeg folds segment i into the running minimum. It computes
+// only what the comparison needs — the clamped projection parameter t
+// and the squared distance. Both the linear reference scan and the
+// grid-indexed search funnel every candidate through this one helper,
+// so the two code paths execute the same float operations on the
+// winning segment — the foundation of the bit-identity the
+// equivalence tests assert.
 func (p *Path) considerSeg(st *projState, i int, q Vec2) {
-	d, s, lat := p.projectSeg(i, q)
+	a, b := p.pts[i], p.pts[i+1]
+	ab := b.Sub(a)
+	t := Clamp(q.Sub(a).Dot(ab)/ab.LenSq(), 0, 1)
+	d := q.DistSq(a.Add(ab.Scale(t)))
 	if d < st.bestD || (d == st.bestD && i < st.bestIdx) { //lint:allow floateq exact tie-break on equal squared distance: the lower segment index must win, matching the linear scan's first-minimum rule bit for bit
 		st.bestD = d
 		st.bestIdx = i
-		st.station = s
-		st.lateral = lat
+		st.bestT = t
 	}
+}
+
+// result returns the winning segment with the station and signed
+// lateral offset (positive = left of the segment direction) of q's
+// projection onto it, or (-1, 0, 0) when no segment yielded a finite
+// comparison (NaN inputs).
+func (p *Path) result(st *projState, q Vec2) (idx int, station, lateral float64) {
+	i := st.bestIdx
+	if i < 0 {
+		return -1, 0, 0
+	}
+	a, b := p.pts[i], p.pts[i+1]
+	ab := b.Sub(a)
+	station = p.cum[i] + ab.Len()*st.bestT
+	lateral = math.Sqrt(st.bestD)
+	if ab.Cross(q.Sub(a)) < 0 {
+		lateral = -lateral
+	}
+	return i, station, lateral
 }
 
 // projectLinear is the reference full scan. It is the semantic ground
 // truth the indexed query is tested against, and the fallback for small
 // or non-finite paths.
 func (p *Path) projectLinear(q Vec2) (idx int, station, lateral float64) {
-	st := projState{bestD: math.Inf(1), bestIdx: -1}
+	st := newProjState()
 	for i := 0; i < len(p.pts)-1; i++ {
 		p.considerSeg(&st, i, q)
 	}
-	return st.bestIdx, st.station, st.lateral
+	return p.result(&st, q)
 }
 
 // projectIdx answers a projection query, optionally seeded with a hint
@@ -220,31 +232,26 @@ func (p *Path) projectIdx(q Vec2, hint int) (idx int, station, lateral float64) 
 		return p.projectLinear(q)
 	}
 	g := p.grid
-	st := projState{bestD: math.Inf(1), bestIdx: -1}
+	st := newProjState()
 	if hint >= 0 && hint < len(p.pts)-1 {
 		p.considerSeg(&st, hint, q)
 	}
 	cx := g.cellX(q.X)
 	cy := g.cellY(q.Y)
-	maxR := max(max(cx, g.nx-1-cx), max(cy, g.ny-1-cy))
+	maxR := max(cx, g.nx-1-cx, cy, g.ny-1-cy)
 	for r := 0; r <= maxR; r++ {
-		if st.bestIdx >= 0 {
-			lb := g.ringLowerBound(q, cx, cy, r)
-			// Cells at ring >= r are at least lb away; when even that
-			// lower bound is strictly beyond the best distance, no
-			// remaining segment can win or tie. <= keeps scanning on
-			// exact equality so a tying segment with a lower index is
-			// still found.
-			if lb*lb > st.bestD {
-				break
-			}
+		// Cells at ring >= r are at least this far away; once even
+		// that bound is beyond the pruning threshold, no remaining
+		// segment can win or tie.
+		if r > 0 && g.ringDistSq(q, cx, cy, r) > g.pruneLimit(st.bestD) {
+			break
 		}
 		p.scanRing(&st, q, cx, cy, r)
 	}
-	return st.bestIdx, st.station, st.lateral
+	return p.result(&st, q)
 }
 
-// scanRing evaluates every segment registered in the cells of Chebyshev
+// scanRing evaluates the segments registered in the cells of Chebyshev
 // ring r around (cx, cy), clipped to the grid.
 func (p *Path) scanRing(st *projState, q Vec2, cx, cy, r int) {
 	g := p.grid
@@ -272,13 +279,18 @@ func (p *Path) scanRing(st *projState, q Vec2, cx, cy, r int) {
 	}
 }
 
-// scanCell evaluates the segments registered in one cell. A segment
-// spanning several cells is re-evaluated harmlessly: projectSeg is pure
-// and the tie-break ignores an index it has already chosen.
+// scanCell evaluates the segments registered in one cell, unless the
+// cell is empty or lies beyond the pruning threshold. A segment
+// spanning several cells is re-evaluated harmlessly: considerSeg is
+// pure and the tie-break ignores an index it has already chosen.
 func (p *Path) scanCell(st *projState, q Vec2, ix, iy int) {
 	g := p.grid
 	c := iy*g.nx + ix
-	for _, si := range g.items[g.start[c]:g.start[c+1]] {
+	lo, hi := g.start[c], g.start[c+1]
+	if lo == hi || g.cellDistSq(q, ix, iy) > g.pruneLimit(st.bestD) {
+		return
+	}
+	for _, si := range g.items[lo:hi] {
 		p.considerSeg(st, int(si), q)
 	}
 }

@@ -14,8 +14,8 @@ import (
 func deltaTestActor(id world.ActorID, kind world.ActorKind, x, y float64) ActorView {
 	return ActorView{
 		ID: id, Kind: kind,
-		Pose:   geom.Pose{Pos: geom.V(x, y), Yaw: 0.3},
-		Speed:  12.5, Steer: -0.1,
+		Pose:  geom.Pose{Pos: geom.V(x, y), Yaw: 0.3},
+		Speed: 12.5, Steer: -0.1,
 		Extent: geom.V(2.4, 1.1),
 	}
 }

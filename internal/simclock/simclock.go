@@ -12,7 +12,6 @@
 package simclock
 
 import (
-	"container/heap"
 	"fmt"
 	"time"
 )
@@ -99,7 +98,7 @@ func (c *Clock) ScheduleAt(at time.Duration, fn func(now time.Duration)) *Timer 
 	}
 	t := &Timer{at: at, seq: c.seq, fn: fn}
 	c.seq++
-	heap.Push(&c.queue, t)
+	c.queue.push(t)
 	return t
 }
 
@@ -136,7 +135,7 @@ func (c *Clock) ScheduleTaskAt(at time.Duration, task TimerTask) {
 		t = &Timer{at: at, seq: c.seq, task: task, pooled: true}
 	}
 	c.seq++
-	heap.Push(&c.queue, t)
+	c.queue.push(t)
 }
 
 // NewTimer returns an unscheduled timer bound to fn, for callers that
@@ -179,7 +178,7 @@ func (c *Clock) RescheduleAt(t *Timer, at time.Duration) {
 	t.seq = c.seq
 	t.stopped = false
 	c.seq++
-	heap.Push(&c.queue, t)
+	c.queue.push(t)
 }
 
 // Cancel removes the timer from the queue. Cancelling an already-fired or
@@ -189,20 +188,20 @@ func (c *Clock) Cancel(t *Timer) bool {
 	if t == nil || t.index < 0 {
 		return false
 	}
-	heap.Remove(&c.queue, t.index)
+	c.queue.remove(t.index)
 	t.stopped = true
 	return true
 }
 
 // PendingTimers returns the number of timers waiting to fire.
 func (c *Clock) PendingTimers() int {
-	return c.queue.Len()
+	return len(c.queue)
 }
 
 // NextAt returns the firing time of the earliest pending timer. The second
 // return value is false when no timers are pending.
 func (c *Clock) NextAt() (time.Duration, bool) {
-	if c.queue.Len() == 0 {
+	if len(c.queue) == 0 {
 		return 0, false
 	}
 	return c.queue[0].at, true
@@ -225,8 +224,8 @@ func (c *Clock) AdvanceTo(t time.Duration) {
 	if t < c.now {
 		panic(fmt.Sprintf("simclock: AdvanceTo(%v) before current time %v", t, c.now))
 	}
-	for c.queue.Len() > 0 && c.queue[0].at <= t {
-		c.fire(heap.Pop(&c.queue).(*Timer))
+	for len(c.queue) > 0 && c.queue[0].at <= t {
+		c.fire(c.queue.remove(0))
 	}
 	c.now = t
 }
@@ -252,10 +251,10 @@ func (c *Clock) fire(tm *Timer) {
 // deadline. It reports whether a timer fired; when no timers are pending
 // the clock is unchanged and Step returns false.
 func (c *Clock) Step() bool {
-	if c.queue.Len() == 0 {
+	if len(c.queue) == 0 {
 		return false
 	}
-	c.fire(heap.Pop(&c.queue).(*Timer))
+	c.fire(c.queue.remove(0))
 	return true
 }
 
@@ -273,36 +272,78 @@ func (c *Clock) Run(limit int) int {
 	return fired
 }
 
-// timerQueue is a min-heap ordered by (at, seq).
+// timerQueue is a binary min-heap of timers ordered by (at, seq). The
+// order is total (seq is unique per scheduling), so the pop sequence is
+// fully determined by the timers, whatever the heap's internal layout.
+// Every queued timer's index is its slot; a timer outside the queue has
+// index -1.
 type timerQueue []*Timer
 
-func (q timerQueue) Len() int { return len(q) }
-
-func (q timerQueue) Less(i, j int) bool {
+func (q timerQueue) less(i, j int) bool {
 	if q[i].at != q[j].at {
 		return q[i].at < q[j].at
 	}
 	return q[i].seq < q[j].seq
 }
 
-func (q timerQueue) Swap(i, j int) {
+func (q timerQueue) swap(i, j int) {
 	q[i], q[j] = q[j], q[i]
 	q[i].index = i
 	q[j].index = j
 }
 
-func (q *timerQueue) Push(x any) {
-	t := x.(*Timer)
+func (q *timerQueue) push(t *Timer) {
 	t.index = len(*q)
 	*q = append(*q, t)
+	q.up(t.index)
 }
 
-func (q *timerQueue) Pop() any {
+// remove takes the timer at slot i out of the queue and returns it;
+// remove(0) pops the earliest.
+func (q *timerQueue) remove(i int) *Timer {
 	old := *q
-	n := len(old)
-	t := old[n-1]
-	old[n-1] = nil
+	n := len(old) - 1
+	if i != n {
+		old.swap(i, n)
+	}
+	t := old[n]
+	old[n] = nil
 	t.index = -1
-	*q = old[:n-1]
+	*q = old[:n]
+	if i != n && !q.down(i) {
+		q.up(i)
+	}
 	return t
+}
+
+func (q timerQueue) up(j int) {
+	for j > 0 {
+		i := (j - 1) / 2 // parent
+		if !q.less(j, i) {
+			break
+		}
+		q.swap(i, j)
+		j = i
+	}
+}
+
+// down sifts slot i0 toward the leaves and reports whether it moved.
+func (q timerQueue) down(i0 int) bool {
+	i, n := i0, len(q)
+	for {
+		l := 2*i + 1
+		if l >= n {
+			break
+		}
+		j := l
+		if r := l + 1; r < n && q.less(r, l) {
+			j = r
+		}
+		if !q.less(j, i) {
+			break
+		}
+		q.swap(i, j)
+		i = j
+	}
+	return i > i0
 }

@@ -1,6 +1,9 @@
 package simclock
 
 import (
+	"math"
+	"math/rand"
+	"sort"
 	"testing"
 	"time"
 )
@@ -266,6 +269,158 @@ func TestCancelMiddleOfHeap(t *testing.T) {
 	for _, v := range fired {
 		if v == 4 || v == 7 {
 			t.Fatalf("cancelled timer %d fired", v)
+		}
+	}
+}
+
+// refTimer is the property test's model of one pending timer.
+type refTimer struct {
+	id  int
+	at  time.Duration
+	seq uint64
+}
+
+// recordTask is a TimerTask that logs its id on firing.
+type recordTask struct {
+	id    int
+	fired *[]int
+}
+
+func (r *recordTask) Fire(time.Duration) { *r.fired = append(*r.fired, r.id) }
+
+// TestQueueMatchesSortedReference drives random interleavings of
+// ScheduleAt, ScheduleTaskAt, RescheduleAt, Cancel, Step and
+// AdvanceTo, with deadlines on a coarse grid so many timers tie on
+// their instant. The fire order must equal a (at, seq)-sorted
+// reference, and after every operation each queued timer's index must
+// be its slot and the heap order must hold.
+func TestQueueMatchesSortedReference(t *testing.T) {
+	for seed := int64(0); seed < 30; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		c := New()
+		var fired []int
+		var pending []refTimer // the reference queue, unordered
+		handles := map[int]*Timer{}
+		var owned []*Timer
+		ownedID := map[*Timer]int{}
+		nextID := 0
+		schedule := func(at time.Duration) refTimer {
+			if at < c.Now() {
+				at = c.Now()
+			}
+			r := refTimer{id: nextID, at: at, seq: c.seq}
+			nextID++
+			pending = append(pending, r)
+			return r
+		}
+		// fireUpTo moves the reference: every pending timer at or before
+		// limit fires, in (at, seq) order; n caps the count (Step).
+		fireUpTo := func(limit time.Duration, n int) []int {
+			sort.Slice(pending, func(i, j int) bool {
+				if pending[i].at != pending[j].at {
+					return pending[i].at < pending[j].at
+				}
+				return pending[i].seq < pending[j].seq
+			})
+			var want []int
+			for len(pending) > 0 && pending[0].at <= limit && len(want) < n {
+				want = append(want, pending[0].id)
+				pending = pending[1:]
+			}
+			return want
+		}
+		for op := 0; op < 3000; op++ {
+			at := c.Now() + time.Duration(rng.Intn(40)-5)*time.Millisecond
+			switch k := rng.Intn(10); {
+			case k < 3:
+				r := schedule(at)
+				id := r.id
+				handles[id] = c.ScheduleAt(at, func(time.Duration) { fired = append(fired, id) })
+			case k < 5:
+				r := schedule(at)
+				c.ScheduleTaskAt(at, &recordTask{id: r.id, fired: &fired})
+			case k < 6:
+				if len(owned) < 8 {
+					var tm *Timer
+					tm = c.NewTimer(func(time.Duration) { fired = append(fired, ownedID[tm]) })
+					owned = append(owned, tm)
+				}
+				tm := owned[rng.Intn(len(owned))]
+				if tm.index >= 0 {
+					continue
+				}
+				r := schedule(at)
+				ownedID[tm] = r.id
+				c.RescheduleAt(tm, at)
+			case k < 7:
+				var tm *Timer
+				var id int
+				if rng.Intn(2) == 0 && len(owned) > 0 {
+					tm = owned[rng.Intn(len(owned))]
+					id = ownedID[tm]
+				} else if nextID > 0 {
+					id = rng.Intn(nextID)
+					tm = handles[id]
+				}
+				if tm == nil {
+					continue
+				}
+				wasPending := tm.index >= 0
+				if got := c.Cancel(tm); got != wasPending {
+					t.Fatalf("seed %d op %d: Cancel = %v, timer pending %v", seed, op, got, wasPending)
+				}
+				if wasPending {
+					for i, r := range pending {
+						if r.id == id {
+							pending = append(pending[:i], pending[i+1:]...)
+							break
+						}
+					}
+				}
+			case k < 8:
+				fired = fired[:0]
+				want := fireUpTo(time.Duration(math.MaxInt64), 1)
+				if got := c.Step(); got != (len(want) == 1) {
+					t.Fatalf("seed %d op %d: Step = %v with %d due", seed, op, got, len(want))
+				}
+				checkFired(t, seed, op, fired, want)
+			default:
+				fired = fired[:0]
+				to := c.Now() + time.Duration(rng.Intn(20))*time.Millisecond
+				want := fireUpTo(to, math.MaxInt)
+				c.AdvanceTo(to)
+				checkFired(t, seed, op, fired, want)
+			}
+			checkHeap(t, seed, op, c, len(pending))
+		}
+	}
+}
+
+func checkFired(t *testing.T, seed int64, op int, got, want []int) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("seed %d op %d: fired %v, want %v", seed, op, got, want)
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("seed %d op %d: fired %v, want %v", seed, op, got, want)
+		}
+	}
+}
+
+// checkHeap asserts the queue's structural invariants: size, every
+// timer's index equal to its slot, and no child earlier than its parent.
+func checkHeap(t *testing.T, seed int64, op int, c *Clock, n int) {
+	t.Helper()
+	if len(c.queue) != n {
+		t.Fatalf("seed %d op %d: %d timers queued, reference has %d", seed, op, len(c.queue), n)
+	}
+	for i, tm := range c.queue {
+		if tm.index != i {
+			t.Fatalf("seed %d op %d: timer in slot %d has index %d", seed, op, i, tm.index)
+		}
+		if i > 0 && c.queue.less(i, (i-1)/2) {
+			t.Fatalf("seed %d op %d: slot %d precedes its parent", seed, op, i)
 		}
 	}
 }

@@ -42,11 +42,11 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	}{
 		{0, 0},
 		{0.999, 0},
-		{1, 0},    // exactly on the first bound: inclusive
+		{1, 0}, // exactly on the first bound: inclusive
 		{1.001, 1},
-		{2.5, 1},  // exactly on a middle bound
+		{2.5, 1}, // exactly on a middle bound
 		{2.6, 2},
-		{5, 2},    // exactly on the last bound
+		{5, 2}, // exactly on the last bound
 		{5.001, 3},
 		{1e18, 3},
 		{-3, 0}, // below every bound: first bucket

@@ -6,7 +6,7 @@ import (
 	"encoding/hex"
 	"hash"
 	"math"
-	"time"
+	"sync"
 )
 
 // Fingerprint returns the SHA-256 hex digest of a canonical binary
@@ -18,79 +18,116 @@ import (
 // simulated trajectories after it (see internal/session's equivalence
 // test and `make fingerprint`).
 func Fingerprint(l *RunLog) string {
-	h := sha256.New()
-	hashString(h, l.Subject)
-	hashString(h, l.Scenario)
-	hashString(h, l.RunType)
-	hashU64(h, uint64(l.Seed))
+	e := encoders.Get().(*fpEncoder)
+	e.h.Reset()
+	e.str(l.Subject)
+	e.str(l.Scenario)
+	e.str(l.RunType)
+	e.u64(uint64(l.Seed))
 
-	hashU64(h, uint64(len(l.Ego)))
-	for _, e := range l.Ego {
-		hashDur(h, e.Time)
-		hashU64(h, e.Frame)
-		hashF64(h, e.X, e.Y, e.Z, e.Vx, e.Vy, e.Vz, e.Ax, e.Ay, e.Az)
-		hashF64(h, e.Station, e.Lateral, e.Speed, e.Throttle, e.Steer, e.Brake)
+	e.u64(uint64(len(l.Ego)))
+	for _, r := range l.Ego {
+		e.u64(uint64(r.Time))
+		e.u64(r.Frame)
+		e.f64(r.X, r.Y, r.Z, r.Vx, r.Vy, r.Vz, r.Ax, r.Ay, r.Az)
+		e.f64(r.Station, r.Lateral, r.Speed, r.Throttle, r.Steer, r.Brake)
 	}
-	hashU64(h, uint64(len(l.Others)))
+	e.u64(uint64(len(l.Others)))
 	for _, o := range l.Others {
-		hashU64(h, uint64(o.Actor))
-		hashDur(h, o.Time)
-		hashU64(h, o.Frame)
-		hashF64(h, o.Distance, o.X, o.Y, o.Z, o.Vx, o.Vy, o.Vz, o.Station, o.Lateral, o.Speed)
+		e.u64(uint64(o.Actor))
+		e.u64(uint64(o.Time))
+		e.u64(o.Frame)
+		e.f64(o.Distance, o.X, o.Y, o.Z, o.Vx, o.Vy, o.Vz, o.Station, o.Lateral, o.Speed)
 	}
-	hashU64(h, uint64(len(l.Collisions)))
+	e.u64(uint64(len(l.Collisions)))
 	for _, c := range l.Collisions {
-		hashDur(h, c.Time)
-		hashU64(h, c.Frame)
-		hashU64(h, uint64(c.Actor))
-		hashU64(h, uint64(c.Other))
-		hashF64(h, c.SpeedA, c.SpeedB)
-		hashString(h, c.Label)
+		e.u64(uint64(c.Time))
+		e.u64(c.Frame)
+		e.u64(uint64(c.Actor))
+		e.u64(uint64(c.Other))
+		e.f64(c.SpeedA, c.SpeedB)
+		e.str(c.Label)
 	}
-	hashU64(h, uint64(len(l.LaneInvasions)))
+	e.u64(uint64(len(l.LaneInvasions)))
 	for _, li := range l.LaneInvasions {
-		hashDur(h, li.Time)
-		hashU64(h, li.Frame)
-		hashU64(h, uint64(li.Actor))
-		hashString(h, li.Kind)
-		hashString(h, li.LaneID)
-		hashF64(h, li.Lateral)
-		hashString(h, li.Label)
+		e.u64(uint64(li.Time))
+		e.u64(li.Frame)
+		e.u64(uint64(li.Actor))
+		e.str(li.Kind)
+		e.str(li.LaneID)
+		e.f64(li.Lateral)
+		e.str(li.Label)
 	}
-	hashU64(h, uint64(len(l.Faults)))
+	e.u64(uint64(len(l.Faults)))
 	for _, f := range l.Faults {
-		hashDur(h, f.Time)
-		hashString(h, f.Link)
-		hashString(h, f.Action)
-		hashString(h, f.Desc)
-		hashString(h, f.Label)
+		e.u64(uint64(f.Time))
+		e.str(f.Link)
+		e.str(f.Action)
+		e.str(f.Desc)
+		e.str(f.Label)
 	}
-	hashU64(h, uint64(len(l.ConditionSpans)))
+	e.u64(uint64(len(l.ConditionSpans)))
 	for _, s := range l.ConditionSpans {
-		hashString(h, s.Label)
-		hashDur(h, s.From)
-		hashDur(h, s.To)
+		e.str(s.Label)
+		e.u64(uint64(s.From))
+		e.u64(uint64(s.To))
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	digest := e.sum()
+	encoders.Put(e) // only after a complete encoding: sum leaves e.n == 0
+	return digest
 }
 
-func hashString(h hash.Hash, s string) {
-	hashU64(h, uint64(len(s)))
-	h.Write([]byte(s))
+// fpEncoder writes the canonical encoding — little-endian uint64s, and
+// strings as their length followed by their bytes — into a fixed buffer
+// and hands it to the hash a full buffer at a time, so encoding a log
+// costs no allocation per value. Encoders are pooled, so a fingerprint
+// in steady state allocates only its result string.
+type fpEncoder struct {
+	h   hash.Hash
+	n   int
+	buf [4096]byte
 }
 
-func hashU64(h hash.Hash, v uint64) {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], v)
-	h.Write(buf[:])
+var encoders = sync.Pool{New: func() any { return &fpEncoder{h: sha256.New()} }}
+
+func (e *fpEncoder) flush() {
+	e.h.Write(e.buf[:e.n])
+	e.n = 0
 }
 
-func hashDur(h hash.Hash, d time.Duration) { hashU64(h, uint64(d)) }
+func (e *fpEncoder) u64(v uint64) {
+	if e.n+8 > len(e.buf) {
+		e.flush()
+	}
+	binary.LittleEndian.PutUint64(e.buf[e.n:], v)
+	e.n += 8
+}
 
-// hashF64 hashes the exact IEEE-754 bit patterns, so fingerprints
+// f64 encodes the exact IEEE-754 bit patterns, so fingerprints
 // distinguish values that print identically (and even -0 from +0).
-func hashF64(h hash.Hash, vs ...float64) {
+func (e *fpEncoder) f64(vs ...float64) {
 	for _, v := range vs {
-		hashU64(h, math.Float64bits(v))
+		e.u64(math.Float64bits(v))
 	}
+}
+
+func (e *fpEncoder) str(s string) {
+	e.u64(uint64(len(s)))
+	for len(s) > 0 {
+		if e.n == len(e.buf) {
+			e.flush()
+		}
+		k := copy(e.buf[e.n:], s)
+		e.n += k
+		s = s[k:]
+	}
+}
+
+// sum flushes the buffer and returns the hex digest, reusing the buffer
+// for the digest bytes and their hex form.
+func (e *fpEncoder) sum() string {
+	e.flush()
+	d := e.h.Sum(e.buf[:0])
+	hex.Encode(e.buf[len(d):], d)
+	return string(e.buf[len(d) : 3*len(d)])
 }

@@ -18,6 +18,7 @@ import (
 	"teledrive/internal/simclock"
 	"teledrive/internal/telemetry"
 	"teledrive/internal/telemetry/obs"
+	"teledrive/internal/trace"
 	"teledrive/internal/transport"
 	"teledrive/internal/vehicle"
 	"teledrive/internal/world"
@@ -295,5 +296,43 @@ func BenchmarkPathProject(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Reference.Project(p)
+	}
+}
+
+// BenchmarkProjectorTrack is the per-tick projection in steady state: a
+// warm projector following an actor that drives 3.5 m (one lane) off
+// the Town5 reference at 15 m/s, one query per 20 ms tick.
+func BenchmarkProjectorTrack(b *testing.B) {
+	ref := world.Town5().Reference
+	var qs []geom.Vec2
+	for s := 0.0; s < ref.Length(); s += 0.3 {
+		pose := ref.PoseAt(s)
+		qs = append(qs, pose.Pos.Add(pose.Forward().Perp().Scale(3.5)))
+	}
+	pr := geom.NewProjector(ref)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pr.Project(qs[i%len(qs)])
+	}
+}
+
+// BenchmarkFingerprint digests the run log of one 20 s follow-vehicle
+// drive, the log each hub session fingerprints for its outcome digest.
+func BenchmarkFingerprint(b *testing.B) {
+	prof, _ := driver.SubjectByName("T5")
+	scn := scenario.FollowVehicle()
+	scn.Timeout = 20 * time.Second
+	out, err := rds.Run(rds.BenchConfig{Scenario: scn, Profile: prof, Seed: 1000})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if len(out.Log.Ego) == 0 {
+		b.Fatal("empty run log")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		trace.Fingerprint(out.Log)
 	}
 }
