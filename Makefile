@@ -57,10 +57,12 @@ race:
 
 # Multi-tenant hub chaos battery under the race detector: served
 # sessions over real localhost TCP with mid-frame connection kills,
-# lossy-datagram delta resyncs, and concurrent join/leave churn. Runs
-# in CI (scripts/ci.sh) after the package race stage.
+# lossy-datagram delta resyncs, and concurrent join/leave churn, plus
+# the served wire's group-commit writer (concurrent writers, sticky
+# error at the pending cap) and the station's burst flush. Runs in CI
+# (scripts/ci.sh) after the package race stage.
 race-hub:
-	$(GO) test -race -run 'TestHubServe|TestHubChaos|TestHubChurn|TestHubHostileBytes' -count=1 ./internal/hub
+	$(GO) test -race -run 'TestHubServe|TestHubChaos|TestHubChurn|TestHubHostileBytes|TestHubWire' -count=1 ./internal/hub
 
 # Distributed-campaign battery under the race detector: the campaignd
 # coordinator/worker protocol, the chaos suite (worker kill, coordinator

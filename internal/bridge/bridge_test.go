@@ -1,6 +1,7 @@
 package bridge
 
 import (
+	"bytes"
 	"math"
 	"testing"
 	"time"
@@ -47,6 +48,11 @@ func TestControlCodecRoundTrip(t *testing.T) {
 		}
 		if got != c {
 			t.Fatalf("round trip: got %+v, want %+v", got, c)
+		}
+		var buf [ControlMsgLen]byte
+		msg := AppendControlMsg(buf[:0], c)
+		if want := envelope(MsgControl, MarshalControl(c)); !bytes.Equal(msg, want) {
+			t.Fatalf("AppendControlMsg(%+v) = %x, want %x", c, msg, want)
 		}
 	}
 }

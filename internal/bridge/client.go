@@ -111,7 +111,7 @@ func (c *Client) FrameLatency() time.Duration { return c.latestLat }
 // SendControl transmits a driving command to the vehicle. A full send
 // window drops the command (counted), like a congested socket.
 func (c *Client) SendControl(ctrl vehicle.Control) error {
-	c.ctrlBuf = appendControlMsg(c.ctrlBuf[:0], ctrl)
+	c.ctrlBuf = AppendControlMsg(c.ctrlBuf[:0], ctrl)
 	if err := c.ep.Send(c.ctrlBuf); err != nil {
 		c.stats.ControlsDropped++
 		if c.ins != nil {

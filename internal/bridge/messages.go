@@ -87,32 +87,26 @@ const (
 	flagHandBrake = 1 << 1
 )
 
+// ControlMsgLen is the length of an enveloped MsgControl message: a
+// [ControlMsgLen]byte array holds one without allocating.
+const ControlMsgLen = 1 + controlWireLen
+
 // MarshalControl serializes a vehicle control command.
 func MarshalControl(c vehicle.Control) []byte {
-	buf := make([]byte, controlWireLen)
-	binary.BigEndian.PutUint64(buf[0:], math.Float64bits(c.Throttle))
-	binary.BigEndian.PutUint64(buf[8:], math.Float64bits(c.Steer))
-	binary.BigEndian.PutUint64(buf[16:], math.Float64bits(c.Brake))
-	var flags byte
-	if c.Reverse {
-		flags |= flagReverse
-	}
-	if c.HandBrake {
-		flags |= flagHandBrake
-	}
-	buf[24] = flags
-	return buf
+	return appendControl(make([]byte, 0, controlWireLen), c)
 }
 
-// appendControlMsg appends the enveloped MsgControl wire form to dst —
-// the allocation-free path for the 50 Hz control send (the stack array
-// does not escape).
-func appendControlMsg(dst []byte, c vehicle.Control) []byte {
-	var buf [1 + controlWireLen]byte
-	buf[0] = byte(MsgControl)
-	binary.BigEndian.PutUint64(buf[1:], math.Float64bits(c.Throttle))
-	binary.BigEndian.PutUint64(buf[9:], math.Float64bits(c.Steer))
-	binary.BigEndian.PutUint64(buf[17:], math.Float64bits(c.Brake))
+// AppendControlMsg appends the enveloped MsgControl wire form to dst —
+// the allocation-free path for the 50 Hz control send when dst has
+// room (a reused buffer, or a [ControlMsgLen]byte stack array).
+func AppendControlMsg(dst []byte, c vehicle.Control) []byte {
+	return appendControl(append(dst, byte(MsgControl)), c)
+}
+
+func appendControl(dst []byte, c vehicle.Control) []byte {
+	dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(c.Throttle))
+	dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(c.Steer))
+	dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(c.Brake))
 	var flags byte
 	if c.Reverse {
 		flags |= flagReverse
@@ -120,8 +114,7 @@ func appendControlMsg(dst []byte, c vehicle.Control) []byte {
 	if c.HandBrake {
 		flags |= flagHandBrake
 	}
-	buf[1+24] = flags
-	return append(dst, buf[:]...)
+	return append(dst, flags)
 }
 
 // UnmarshalControl decodes a control command.

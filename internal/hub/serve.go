@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -17,12 +18,15 @@ import (
 // Serve accepts station connections on ln until the listener closes (or
 // Close is called) and hosts one live session per join. Every session
 // runs on its own goroutine with its own simulated clock; the shared
-// TCP stream routes frames by session id.
+// TCP stream routes frames by session id. Serve returns nil once the
+// hub is closed, including when Close ran before Serve started: a
+// caller that starts Serve on a goroutine may close the hub at any
+// time.
 func (h *Hub) Serve(ln net.Listener) error {
 	h.mu.Lock()
 	if h.closed {
 		h.mu.Unlock()
-		return fmt.Errorf("hub: serve on closed hub")
+		return nil
 	}
 	h.mu.Unlock()
 	for {
@@ -65,24 +69,15 @@ func (h *Hub) Close() {
 }
 
 // hubConn is one station connection: a read goroutine that demuxes
-// incoming messages to its sessions, and a mutex-serialized writer the
+// incoming messages to its sessions, and a group-committing writer the
 // sessions share for the downlink.
 type hubConn struct {
-	h *Hub
-	c net.Conn
-
-	wmu sync.Mutex
-	ww  *wireWriter
+	h  *Hub
+	c  net.Conn
+	ww *wireWriter
 
 	mu       sync.Mutex
 	sessions map[uint64]*liveSession
-}
-
-// write frames one message onto the shared stream.
-func (hc *hubConn) write(session uint64, kind byte, body []byte) error {
-	hc.wmu.Lock()
-	defer hc.wmu.Unlock()
-	return hc.ww.writeMsg(session, kind, body)
 }
 
 func (hc *hubConn) writeJSON(session uint64, kind byte, v any) error {
@@ -90,7 +85,7 @@ func (hc *hubConn) writeJSON(session uint64, kind byte, v any) error {
 	if err != nil {
 		return err
 	}
-	return hc.write(session, kind, body)
+	return hc.ww.writeMsg(session, kind, body)
 }
 
 func (hc *hubConn) lookup(id uint64) *liveSession {
@@ -124,9 +119,9 @@ func (hc *hubConn) readLoop() {
 		hc.h.mu.Unlock()
 	}()
 
-	br := newReader(hc.c)
+	wr := newWireReader(hc.c)
 	for {
-		m, err := readMsg(br)
+		m, err := wr.readMsg()
 		if err != nil {
 			// Clean EOF and hostile garbage end the same way — the
 			// connection is done — but garbage is counted first.
@@ -159,7 +154,7 @@ func (hc *hubConn) readLoop() {
 				continue
 			}
 			select {
-			case ls.inbox <- m.Body:
+			case ls.inbox <- slices.Clone(m.Body): // Body is reused by the next read
 			default:
 				// Inbox full: the session is falling behind its station.
 				// Shedding uplink load here mirrors a congested socket.
@@ -219,7 +214,7 @@ type liveSession struct {
 	duration time.Duration
 	turbo    bool
 
-	inbox chan []byte // station→plant bridge messages
+	inbox chan []byte // station→plant bridge messages, copied off the read buffer
 
 	quitOnce sync.Once
 	reason   string // written once, before quit closes
@@ -275,8 +270,9 @@ func (h *Hub) newLiveSession(hc *hubConn, req JoinRequest) (*liveSession, error)
 	topts := transport.Options{Name: "hub", Reliable: !req.Datagram, Pools: scr.Pools}
 	// Server handler late-binds (the endpoint exists before the server);
 	// the station-side handler relays every delivered bridge message onto
-	// the shared TCP stream under this session's id. writeMsg does not
-	// retain the payload, honoring the pooled-delivery contract.
+	// the shared TCP stream under this session's id. writeMsg copies the
+	// payload into the connection's pending buffer and does not retain
+	// it, honoring the pooled-delivery contract.
 	var srv *bridge.Server
 	conn := transport.Connect(ls.clock, req.Seed, topts,
 		func(payload []byte, seq uint64, lat time.Duration) {
@@ -286,7 +282,7 @@ func (h *Hub) newLiveSession(hc *hubConn, req JoinRequest) (*liveSession, error)
 		},
 		func(payload []byte, _ uint64, _ time.Duration) {
 			//lint:allow errswallow best-effort downlink relay: a dead connection is detected (and the session killed) by its read loop
-			_ = ls.conn.write(ls.id, kindBridge, payload)
+			_ = ls.conn.ww.writeMsg(ls.id, kindBridge, payload)
 		},
 	)
 	srv, err = bridge.NewServer(ls.clock, built.World, built.Ego, conn.A)
@@ -349,7 +345,7 @@ func (ls *liveSession) release() {
 
 // run drives the session: simulated time advances in physics-tick
 // steps, paced to the wall clock unless the hub is in turbo mode, with
-// station uplink drained between steps. It exits at the session
+// the station's uplink drained at each step. It exits at the session
 // duration or on kill.
 func (ls *liveSession) run() {
 	h := ls.h
@@ -360,39 +356,57 @@ func (ls *liveSession) run() {
 	ls.srv.Start()
 	//lint:allow wallclock live serving: remote stations run in real time, so sim time is paced to (slaved under) the wall clock
 	start := time.Now()
+	// One timer paces every tick. It is stopped here and, below, either
+	// fires and is received or is stopped on the way out, so each Reset
+	// starts from an empty channel.
+	//lint:allow wallclock live serving: pacing each tick to real time keeps remote operators in sync
+	pace := time.NewTimer(time.Hour)
+	pace.Stop()
 	next := time.Duration(0)
 	for {
-		// Drain whatever the station sent, then take one step.
 		select {
 		case <-ls.quit:
 			ls.finish()
 			return
-		case buf := <-ls.inbox:
-			// A full uplink window sheds like a congested socket.
-			_ = ls.station.Send(buf)
-			continue
 		default:
 		}
 		if !ls.turbo {
 			//lint:allow wallclock live serving: pacing each tick to real time keeps remote operators in sync
 			if wait := time.Until(start.Add(next)); wait > 0 {
+				pace.Reset(wait)
 				select {
 				case <-ls.quit:
+					pace.Stop()
 					ls.finish()
 					return
-				case buf := <-ls.inbox:
-					_ = ls.station.Send(buf)
-					continue
-				//lint:allow wallclock live serving: pacing each tick to real time keeps remote operators in sync
-				case <-time.After(wait):
+				case <-pace.C:
 				}
 			}
 		}
 		next += bridge.PhysicsTick
-		ls.clock.AdvanceTo(next)
+		ls.step(next)
 		if next >= ls.duration {
 			ls.kill("completed")
 			ls.finish()
+			return
+		}
+	}
+}
+
+// step sends everything the station sent since the last step into the
+// session's uplink endpoint, in arrival order, then advances the clock
+// to next. Nothing moves the clock between steps, so a message sent
+// here goes out at the same clock.Now(), in the same event order, as
+// one sent the moment it arrived; draining once per tick only saves the
+// wakeups.
+func (ls *liveSession) step(next time.Duration) {
+	for {
+		select {
+		case buf := <-ls.inbox:
+			// A full uplink window sheds like a congested socket.
+			_ = ls.station.Send(buf)
+		default:
+			ls.clock.AdvanceTo(next)
 			return
 		}
 	}

@@ -307,3 +307,79 @@ func TestHubHostileBytes(t *testing.T) {
 	}
 	waitDrained(t, h, 5*time.Second)
 }
+
+// TestHubServeCloseBeforeServe runs the bench's set-up and tear-down
+// pattern — Serve on a goroutine, Dial, Close, close the listener, wait
+// for Serve — many times. Close can land before the goroutine reaches
+// Serve, and Serve must then report the clean stop (nil) as it does for
+// a Close that lands during Accept.
+func TestHubServeCloseBeforeServe(t *testing.T) {
+	for i := range 200 {
+		h := hub.New(hub.Config{Workers: 2})
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		served := make(chan error, 1)
+		go func() { served <- h.Serve(ln) }()
+		st, err := hub.Dial(ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = st.Close()
+		h.Close()
+		_ = ln.Close()
+		if err := <-served; err != nil {
+			t.Fatalf("run %d: Serve returned %v, want nil", i, err)
+		}
+	}
+}
+
+// TestHubWireBurstFlush sends controls from the OnFrame callback, where
+// the station only queues them, and nothing else afterwards. The
+// station writes nothing else, so the controls reach the plant only if
+// the read goroutine flushes its queue before it waits for the next
+// frame. The session's end report must count every one.
+func TestHubWireBurstFlush(t *testing.T) {
+	h, addr := startHub(t, hub.Config{}) // paced: the station idles between frames
+
+	st, err := hub.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	ss, err := st.Join(hub.JoinRequest{
+		Scenario:   "follow-vehicle",
+		Seed:       3,
+		Delta:      true,
+		DurationNS: (1500 * time.Millisecond).Nanoseconds(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const controls = 3
+	sent := 0 // only the read goroutine touches it
+	ss.SetOnFrame(func(_ sensors.WorldView) {
+		if sent == controls {
+			return
+		}
+		sent++
+		if err := ss.SendControl(vehicle.Control{Throttle: 0.2 * float64(sent)}); err != nil {
+			t.Errorf("control %d: %v", sent, err)
+		}
+	})
+	end, ok := ss.Wait(30 * time.Second)
+	if !ok {
+		t.Fatal("session never ended")
+	}
+	if end.Reason != "completed" {
+		t.Fatalf("end reason %q, want completed", end.Reason)
+	}
+	if got := ss.Stats().ControlsSent; got != controls {
+		t.Fatalf("station sent %d controls, want %d", got, controls)
+	}
+	if end.Controls != controls {
+		t.Errorf("plant applied %d of %d controls sent from OnFrame", end.Controls, controls)
+	}
+	waitDrained(t, h, 5*time.Second)
+}

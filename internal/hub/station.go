@@ -7,6 +7,7 @@ import (
 	"net"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"teledrive/internal/bridge"
@@ -19,10 +20,8 @@ import (
 // concurrent use; each StationSession additionally serializes its own
 // frame state.
 type Station struct {
-	c net.Conn
-
-	wmu sync.Mutex
-	ww  *wireWriter
+	c  net.Conn
+	ww *wireWriter
 
 	// joinMu serializes enqueue+write of a join so the FIFO queue order
 	// always matches the order requests hit the wire.
@@ -73,10 +72,17 @@ func (st *Station) Err() error {
 	return st.err
 }
 
-func (st *Station) write(session uint64, kind byte, body []byte) error {
-	st.wmu.Lock()
-	defer st.wmu.Unlock()
-	return st.ww.writeMsg(session, kind, body)
+// send writes one message of session ss. From inside ss's OnFrame
+// callback it only queues the message: the read goroutine flushes its
+// queue before it next reads the socket, so the controls answering a
+// burst of frames leave in one write. From any other goroutine the
+// message is written at once, except that a send for ss while its
+// callback runs is queued too and leaves with the callback's.
+func (st *Station) send(ss *StationSession, kind byte, body []byte) error {
+	if ss.inOnFrame.Load() {
+		return st.ww.queueMsg(ss.ID, kind, body)
+	}
+	return st.ww.writeMsg(ss.ID, kind, body)
 }
 
 // Join asks the hub for a session and waits for the answer (or the
@@ -97,7 +103,7 @@ func (st *Station) Join(req JoinRequest) (*StationSession, error) {
 	}
 	st.joinQ = append(st.joinQ, ch)
 	st.mu.Unlock()
-	werr := st.write(0, kindJoin, body)
+	werr := st.ww.writeMsg(0, kindJoin, body)
 	if werr != nil {
 		// Unwind the enqueue (joinMu held: ours is still the newest).
 		st.mu.Lock()
@@ -123,9 +129,9 @@ func (st *Station) lookup(id uint64) *StationSession {
 // readLoop demuxes hub→station traffic until the connection dies.
 func (st *Station) readLoop() {
 	var terminal error
-	br := newReader(st.c)
+	wr := newWireReader(flushingReader{r: st.c, ww: st.ww})
 	for {
-		m, err := readMsg(br)
+		m, err := wr.readMsg()
 		if err != nil {
 			if !isEOF(err) {
 				terminal = err
@@ -236,6 +242,10 @@ type StationSession struct {
 	ID       uint64
 	Scenario string
 
+	// inOnFrame is set while the read goroutine runs onFrame, so the
+	// session's writes from the callback queue (Station.send).
+	inOnFrame atomic.Bool
+
 	mu           sync.Mutex
 	onFrame      func(view sensors.WorldView)
 	latest       sensors.WorldView
@@ -284,8 +294,8 @@ func (ss *StationSession) FrameAge() time.Duration {
 
 // SendControl transmits a driving command to the session's plant.
 func (ss *StationSession) SendControl(ctrl vehicle.Control) error {
-	body := append([]byte{byte(bridge.MsgControl)}, bridge.MarshalControl(ctrl)...)
-	if err := ss.st.write(ss.ID, kindBridge, body); err != nil {
+	var buf [bridge.ControlMsgLen]byte
+	if err := ss.st.send(ss, kindBridge, bridge.AppendControlMsg(buf[:0], ctrl)); err != nil {
 		return err
 	}
 	ss.mu.Lock()
@@ -304,13 +314,13 @@ func (ss *StationSession) SendMeta(cmd string, args map[string]string) (uint64, 
 	if err != nil {
 		return 0, err
 	}
-	return seq, ss.st.write(ss.ID, kindBridge, append([]byte{byte(bridge.MsgMeta)}, body...))
+	return seq, ss.st.send(ss, kindBridge, append([]byte{byte(bridge.MsgMeta)}, body...))
 }
 
 // Leave detaches from the session; the hub tears it down and answers
 // with a terminal SessionEnd.
 func (ss *StationSession) Leave() error {
-	return ss.st.write(ss.ID, kindLeave, nil)
+	return ss.st.send(ss, kindLeave, nil)
 }
 
 // Wait blocks until the session ends (SessionEnd received or the
@@ -390,7 +400,9 @@ func (ss *StationSession) handleBridge(payload []byte) {
 	// friends. Only this goroutine mutates view state, so the unlocked
 	// view stays stable for the duration of the call.
 	if promoted && fire != nil {
+		ss.inOnFrame.Store(true)
 		fire(view)
+		ss.inOnFrame.Store(false)
 	}
 }
 
@@ -411,7 +423,9 @@ func (ss *StationSession) acceptDecodedLocked() bool {
 
 // SetOnFrame installs a callback that runs on the connection's read
 // goroutine whenever a newer frame displays. The view is only valid
-// during the call; sending controls from inside it is allowed.
+// during the call. Sending controls, meta commands or a leave for this
+// session from inside it is allowed: they are queued and leave before
+// the read goroutine next waits on the socket.
 func (ss *StationSession) SetOnFrame(fn func(view sensors.WorldView)) {
 	ss.mu.Lock()
 	ss.onFrame = fn
@@ -432,7 +446,7 @@ func (ss *StationSession) requestKeyframeLocked() {
 				return
 			}
 			//lint:allow errswallow best-effort resync request: a dead connection ends the session via the read loop
-			_ = ss.st.write(ss.ID, kindBridge, append([]byte{byte(bridge.MsgMeta)}, body...))
+			_ = ss.st.send(ss, kindBridge, append([]byte{byte(bridge.MsgMeta)}, body...))
 		}()
 	}
 }

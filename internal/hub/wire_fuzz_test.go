@@ -36,9 +36,9 @@ func FuzzHubWire(f *testing.F) {
 	f.Add(buf.Bytes()[:7]) // truncated mid-frame
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r := newReader(bytes.NewReader(data))
+		r := newWireReader(bytes.NewReader(data))
 		for {
-			m, err := readMsg(r)
+			m, err := r.readMsg()
 			if err != nil {
 				if isEOF(err) && err != io.EOF {
 					t.Fatalf("EOF-ish error that is not io.EOF: %v", err)
@@ -50,7 +50,7 @@ func FuzzHubWire(f *testing.F) {
 			if err := newWireWriter(&out).writeMsg(m.Session, m.Kind, m.Body); err != nil {
 				t.Fatalf("re-encode of decoded message failed: %v", err)
 			}
-			back, err := readMsg(newReader(&out))
+			back, err := newWireReader(&out).readMsg()
 			if err != nil {
 				t.Fatalf("re-decode failed: %v", err)
 			}

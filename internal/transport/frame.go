@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"time"
 )
 
@@ -96,9 +97,7 @@ func EncodeFrameAppend(dst []byte, f Frame) ([]byte, error) {
 	}
 	start := len(dst)
 	need := headerLen + len(f.Payload) + trailerLen
-	for cap(dst)-start < need {
-		dst = append(dst[:cap(dst)], 0)
-	}
+	dst = slices.Grow(dst, need)
 	buf := dst[start : start+need]
 	binary.BigEndian.PutUint16(buf[0:2], frameMagic)
 	buf[2] = uint8(f.Type)
