@@ -89,14 +89,18 @@ race-search:
 # Short fuzz passes over the hostile-input surfaces: the lint
 # suppression parser (runs over every comment in the repo on each
 # `make lint`), the world-view decoder, the transport framing, the
-# spatial-index equivalence property (grid-indexed projection must stay
-# bit-identical to the linear reference scan), and the Prometheus
-# exposition writer (arbitrary metric/label names must sanitize into
-# grammar-valid output).
+# zero-run checksum (must equal crc32 for any bytes plus a zero run),
+# the endpoint receive path (arbitrary frames must never panic or be
+# silently lost), the spatial-index equivalence property (grid-indexed
+# projection must stay bit-identical to the linear reference scan), and
+# the Prometheus exposition writer (arbitrary metric/label names must
+# sanitize into grammar-valid output).
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzParseAllow -fuzztime=5s ./internal/analysis
 	$(GO) test -run='^$$' -fuzz=FuzzUnmarshalWorldView -fuzztime=5s ./internal/sensors
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeFrame -fuzztime=5s ./internal/transport
+	$(GO) test -run='^$$' -fuzz=FuzzChecksum -fuzztime=5s ./internal/transport
+	$(GO) test -run='^$$' -fuzz=FuzzEndpointReceive -fuzztime=5s ./internal/transport
 	$(GO) test -run='^$$' -fuzz=FuzzProjectEquivalence -fuzztime=5s ./internal/geom
 	$(GO) test -run='^$$' -fuzz=FuzzExposition -fuzztime=5s ./internal/telemetry
 	$(GO) test -run='^$$' -fuzz=FuzzWireProtocol -fuzztime=5s ./internal/campaignd

@@ -1,6 +1,7 @@
 package bridge
 
 import (
+	"encoding/binary"
 	"testing"
 	"time"
 
@@ -378,5 +379,73 @@ func TestDeltaResyncOverLossyDatagram(t *testing.T) {
 	}
 	if cst.FramesReceived <= atClear+10 {
 		t.Fatalf("stream did not recover after loss cleared: %d -> %d", atClear, cst.FramesReceived)
+	}
+}
+
+// TestDeltaStreamFillIsZero pins the zero-fill wire contract end to end:
+// a delta-streamed session with actor turnover — parked cars entering
+// and leaving a short camera range, so records shrink and grow across
+// the reused frame buffer — delivers frames whose video fill is all
+// zeros. The decoders check only the fill's length, so nothing else
+// would notice stale record bytes leaking into it.
+func TestDeltaStreamFillIsZero(t *testing.T) {
+	ref := geom.MustPath([]geom.Vec2{geom.V(0, 0), geom.V(2000, 0)})
+	w := world.New(&world.RoadMap{Name: "straight", Reference: ref, Lanes: []*world.Lane{
+		{ID: "d1", Center: ref, Width: 3.5},
+	}})
+	ego, err := w.SpawnEgo(vehicle.Sedan(), geom.Pose{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, station := range []float64{15, 35, 40, 80, 90, 95, 140, 200} {
+		rail, err := world.NewRail(ref, station, nil, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.SpawnScripted(world.KindParkedCar, "parked", geom.V(4.7, 1.9), rail); err != nil {
+			t.Fatal(err)
+		}
+	}
+	clk := simclock.New()
+	var cli *Client
+	frames, fills := 0, 0
+	actors := map[int]bool{}
+	conn := transport.Connect(clk, 77, transport.Options{Name: "fill", Reliable: true},
+		func([]byte, uint64, time.Duration) {},
+		func(p []byte, seq uint64, lat time.Duration) {
+			var fill int
+			switch MsgType(p[0]) {
+			case MsgFrame:
+				fill = int(binary.BigEndian.Uint32(p[1+18:]))
+				actors[int(binary.BigEndian.Uint16(p[1+16:]))] = true
+			case MsgDeltaFrame:
+				fill = int(binary.BigEndian.Uint32(p[1+28:]))
+				actors[int(binary.BigEndian.Uint16(p[1+32:]))] = true
+			}
+			if fill > 0 {
+				frames++
+				fills += fill
+				for i, c := range p[len(p)-fill:] {
+					if c != 0 {
+						t.Fatalf("frame kind %d: fill byte %d of %d is %#x", p[0], i, fill, c)
+					}
+				}
+			}
+			cli.Handler()(p, seq, lat)
+		})
+	srv, err := NewServer(clk, w, ego, conn.A)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cli, err = NewClient(clk, conn.B); err != nil {
+		t.Fatal(err)
+	}
+	srv.Camera().Range = 40
+	srv.SetDeltaStreaming(true, 5)
+	srv.Start()
+	ego.Plant.Apply(cruise())
+	clk.Advance(20 * time.Second)
+	if st := srv.Stats(); frames < 300 || st.DeltasSent == 0 || len(actors) < 3 {
+		t.Fatalf("checked %d frames (%d fill bytes), %d deltas, actor counts %v: not enough turnover", frames, fills, st.DeltasSent, actors)
 	}
 }

@@ -56,11 +56,11 @@ type Server struct {
 	ins           *ServerInstruments // optional telemetry handles; nil = uninstrumented
 	lastControl   vehicle.Control
 
-	// view and sendBuf are reused across camera ticks so the per-frame
+	// view and frames are reused across camera ticks so the per-frame
 	// capture→marshal→send path does not allocate. Reuse is safe because
-	// transport.Endpoint.Send copies the payload into its fragments.
-	view    sensors.WorldView
-	sendBuf []byte
+	// transport.Endpoint.Send copies the payload into its wire frames.
+	view   sensors.WorldView
+	frames sensors.FrameBuffer
 
 	// Delta-streaming state (DESIGN.md §14). baseView is a copy of the
 	// last successfully sent view — the diff base both peers hold. It
@@ -221,20 +221,19 @@ func (s *Server) cameraTick(now time.Duration) {
 	}
 	s.cam.CaptureInto(&s.view)
 	keyframe := true
+	var msg []byte
 	if s.deltaStream && s.baseValid && !s.forceKey && s.sinceKey < s.keyframeEvery {
-		s.sendBuf = append(s.sendBuf[:0], byte(MsgDeltaFrame))
-		s.sendBuf = sensors.MarshalWorldViewDeltaAppend(s.sendBuf, s.baseView, s.view, s.cam.VideoDeltaBytes)
+		msg = s.frames.Delta(byte(MsgDeltaFrame), s.baseView, s.view, s.cam.VideoDeltaBytes)
 		// A diff that does not beat the keyframe (mass actor turnover)
 		// is pure downside — fall back to the self-contained form.
-		if len(s.sendBuf) < 1+sensors.WorldViewWireSize(s.view) {
+		if len(msg) < 1+sensors.WorldViewWireSize(s.view) {
 			keyframe = false
 		}
 	}
 	if keyframe {
-		s.sendBuf = append(s.sendBuf[:0], byte(MsgFrame))
-		s.sendBuf = sensors.MarshalWorldViewAppend(s.sendBuf, s.view)
+		msg = s.frames.Keyframe(byte(MsgFrame), s.view)
 	}
-	if err := s.ep.Send(s.sendBuf); err != nil {
+	if err := s.ep.Send(msg); err != nil {
 		// Send window full: the sender-side socket buffer is congested;
 		// drop this frame like a saturated video encoder queue would.
 		// baseView stays at the last accepted send, keeping the diff
@@ -247,7 +246,7 @@ func (s *Server) cameraTick(now time.Duration) {
 		s.stats.FramesSent++
 		if s.ins != nil {
 			s.ins.FramesSent.Inc()
-			s.ins.PayloadBytes.Add(uint64(len(s.sendBuf)))
+			s.ins.PayloadBytes.Add(uint64(len(msg)))
 		}
 		if s.deltaStream {
 			s.rememberBase(keyframe)

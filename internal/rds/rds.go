@@ -240,17 +240,9 @@ func Run(cfg BenchConfig) (*Outcome, error) {
 	if cfg.Transport != nil {
 		topts = *cfg.Transport
 	}
-	if topts.Pools == nil {
-		// Pooling is always on for the composed stack — the bridge
-		// handlers honor the no-retention delivery contract. With a
-		// scratch the pools outlive the run; otherwise they just recycle
-		// within it (still the bulk of the win: the packet path is the
-		// allocation hot spot, not setup).
-		if cfg.Scratch != nil {
-			topts.Pools = cfg.Scratch.Pools
-		} else {
-			topts.Pools = transport.NewPools()
-		}
+	if cfg.Scratch != nil {
+		// The scratch's pools outlive the run.
+		topts.Pools = cfg.Scratch.Pools
 	}
 	build := cfg.NewStack
 	if build == nil {

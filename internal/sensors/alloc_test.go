@@ -9,7 +9,7 @@ import (
 )
 
 // TestCaptureMarshalSteadyStateAllocs pins the zero-allocation claim
-// for the camera→wire path: with a warm WorldView and a reused marshal
+// for the camera→wire path: with a warm WorldView and a reused frame
 // buffer, a full capture-and-serialize cycle allocates nothing. Skipped
 // under the race detector, whose instrumentation perturbs allocation
 // counts.
@@ -21,16 +21,16 @@ func TestCaptureMarshalSteadyStateAllocs(t *testing.T) {
 	ego.Plant.Apply(vehicle.Control{Throttle: 0.3})
 
 	var view WorldView
-	var buf []byte
+	var frames FrameBuffer
 	for i := 0; i < 20; i++ { // warm buffers
 		w.Step(0.02)
 		cam.CaptureInto(&view)
-		buf = MarshalWorldViewAppend(buf[:0], view)
+		frames.Keyframe(1, view)
 	}
 	allocs := testing.AllocsPerRun(200, func() {
 		w.Step(0.02)
 		cam.CaptureInto(&view)
-		buf = MarshalWorldViewAppend(buf[:0], view)
+		frames.Keyframe(1, view)
 	})
 	if allocs != 0 {
 		t.Fatalf("capture+marshal allocates %.1f objects/op in steady state, want 0", allocs)

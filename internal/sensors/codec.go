@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"time"
 
 	"teledrive/internal/geom"
@@ -32,37 +31,28 @@ const (
 var ErrBadWorldView = errors.New("sensors: malformed world view")
 
 // MarshalWorldView serializes a world view for transmission over the
-// bridge.
+// bridge. It is the allocating reference encoder; the send path uses
+// FrameBuffer.Keyframe, which produces the same bytes.
 func MarshalWorldView(v WorldView) []byte {
-	return MarshalWorldViewAppend(nil, v)
+	buf := make([]byte, WorldViewWireSize(v))
+	putWorldViewHead(buf, v)
+	return buf
 }
 
-// MarshalWorldViewAppend appends the serialized view to dst (growing it
-// as needed) and returns the extended slice. The appended bytes are
-// exactly MarshalWorldView's output; reusing dst across frames makes
-// the steady-state send path allocation-free. The video-fill region is
-// zeroed explicitly — a reused buffer carries the previous frame's
-// bytes, and the wire contract is an all-zero synthetic payload.
-func MarshalWorldViewAppend(dst []byte, v WorldView) []byte {
-	fill := v.VideoFill
-	if fill < 0 {
-		fill = 0
-	}
-	n := headerWireLen + actorWireLen*(1+len(v.Others)) + fill
-	base := len(dst)
-	dst = slices.Grow(dst, n)[:base+n]
-	buf := dst[base:]
+// putWorldViewHead writes the header and actor records of v's wire form
+// into buf and returns their length. The video fill after them is left
+// alone: it must already be zero.
+func putWorldViewHead(buf []byte, v WorldView) int {
 	binary.BigEndian.PutUint64(buf[0:8], v.Frame)
 	binary.BigEndian.PutUint64(buf[8:16], uint64(v.SimTime))
 	binary.BigEndian.PutUint16(buf[16:18], uint16(len(v.Others)))
-	binary.BigEndian.PutUint32(buf[18:22], uint32(fill))
+	binary.BigEndian.PutUint32(buf[18:22], uint32(max(v.VideoFill, 0)))
 	off := headerWireLen
 	off = putActor(buf, off, v.Ego)
 	for _, a := range v.Others {
 		off = putActor(buf, off, a)
 	}
-	clear(buf[off:]) // zero-filled synthetic video payload
-	return dst
+	return off
 }
 
 // UnmarshalWorldView decodes a buffer produced by MarshalWorldView.

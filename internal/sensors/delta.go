@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"time"
 
 	"teledrive/internal/world"
@@ -63,31 +62,32 @@ func WorldViewWireSize(v WorldView) int {
 	return headerWireLen + actorWireLen*(1+len(v.Others)) + fill
 }
 
-// MarshalWorldViewDelta serializes v as a diff against base.
+// MarshalWorldViewDelta serializes v as a diff against base. deltaFill
+// is the synthetic video residual to append (zeros). Any base works — an
+// actor absent from base is carried in full — but the output only
+// shrinks when base is the previous tick's view. It is the allocating
+// reference encoder; the send path uses FrameBuffer.Delta, which
+// produces the same bytes.
 func MarshalWorldViewDelta(base, v WorldView, deltaFill int) []byte {
-	return MarshalWorldViewDeltaAppend(nil, base, v, deltaFill)
+	dst := appendWorldViewDeltaHead(nil, base, v, deltaFill)
+	return append(dst, make([]byte, max(deltaFill, 0))...)
 }
 
-// MarshalWorldViewDeltaAppend appends the delta wire form of v relative
-// to base and returns the extended slice; reusing dst across frames
-// keeps the steady-state send path allocation-free. deltaFill is the
-// synthetic video residual to append (zeros). Any base works — an actor
-// absent from base is carried in full — but the output only shrinks
-// when base is the previous tick's view.
-func MarshalWorldViewDeltaAppend(dst []byte, base, v WorldView, deltaFill int) []byte {
-	fill := deltaFill
-	if fill < 0 {
-		fill = 0
-	}
-	vfill := v.VideoFill
-	if vfill < 0 {
-		vfill = 0
-	}
+// maxDeltaHeadLen bounds the length appendWorldViewDeltaHead appends for
+// a view with n other actors: every entry is at most a tag plus a full
+// actor record.
+func maxDeltaHeadLen(n int) int {
+	return deltaHeaderWireLen + (1+actorWireLen)*(1+n)
+}
+
+// appendWorldViewDeltaHead appends the delta wire form of v relative to
+// base, up to but excluding the zero fill.
+func appendWorldViewDeltaHead(dst []byte, base, v WorldView, deltaFill int) []byte {
 	dst = binary.BigEndian.AppendUint64(dst, base.Frame)
 	dst = binary.BigEndian.AppendUint64(dst, v.Frame)
 	dst = binary.BigEndian.AppendUint64(dst, uint64(v.SimTime))
-	dst = binary.BigEndian.AppendUint32(dst, uint32(vfill))
-	dst = binary.BigEndian.AppendUint32(dst, uint32(fill))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(max(v.VideoFill, 0)))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(max(deltaFill, 0)))
 	dst = binary.BigEndian.AppendUint16(dst, uint16(len(v.Others)))
 	if v.Ego.ID != base.Ego.ID {
 		dst = append(dst, egoTagFull)
@@ -112,9 +112,6 @@ func MarshalWorldViewDeltaAppend(dst []byte, base, v WorldView, deltaFill int) [
 		dst = append(dst, byte(idx>>8), byte(idx))
 		dst = appendActorDiff(dst, base.Others[idx], a)
 	}
-	n := len(dst)
-	dst = slices.Grow(dst, fill)[:n+fill]
-	clear(dst[n:]) // zero-filled synthetic video residual
 	return dst
 }
 

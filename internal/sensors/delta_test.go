@@ -185,15 +185,16 @@ func TestDeltaDecodeReuse(t *testing.T) {
 	}
 }
 
-// TestDeltaEncodeReuse pins the sender side: appending into a
-// warm buffer must not allocate.
+// TestDeltaEncodeReuse pins the sender side: encoding into a
+// warm FrameBuffer must not allocate.
 func TestDeltaEncodeReuse(t *testing.T) {
 	base := deltaTestBase()
 	v := deltaTestBase()
 	v.Frame = 101
-	buf := MarshalWorldViewDeltaAppend(nil, base, v, 600)
+	var frames FrameBuffer
+	frames.Delta(2, base, v, 600)
 	allocs := testing.AllocsPerRun(100, func() {
-		buf = MarshalWorldViewDeltaAppend(buf[:0], base, v, 600)
+		frames.Delta(2, base, v, 600)
 	})
 	if allocs != 0 {
 		t.Fatalf("warm delta encode allocates %.1f/op, want 0", allocs)

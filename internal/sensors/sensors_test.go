@@ -156,6 +156,9 @@ func TestWorldViewCodecProperty(t *testing.T) {
 	}
 }
 
+// TestMarshalWorldViewAppendMatchesMarshal: FrameBuffer.Keyframe is
+// the kind byte followed by exactly MarshalWorldView's bytes, including
+// after longer frames left their records in the reused buffer.
 func TestMarshalWorldViewAppendMatchesMarshal(t *testing.T) {
 	views := []WorldView{
 		{Frame: 1, Ego: ActorView{ID: 1, Kind: world.KindEgo}},
@@ -168,25 +171,19 @@ func TestMarshalWorldViewAppendMatchesMarshal(t *testing.T) {
 			},
 		},
 		{Frame: 2, Ego: ActorView{ID: 1}, VideoFill: -5}, // negative fill clamps to 0
+		{Frame: 3, Ego: ActorView{ID: 1, Speed: 3}, VideoFill: 200},
 	}
-	// A dirty reused buffer must not leak into the output: the video
-	// fill region has to be re-zeroed on every append.
-	dirty := make([]byte, 4096)
-	for i := range dirty {
-		dirty[i] = 0xCC
-	}
-	dirty[0], dirty[1] = 0xAA, 0xBB
-	dirty = dirty[:2]
+	var frames FrameBuffer
 	for _, v := range views {
 		want := MarshalWorldView(v)
-		got := MarshalWorldViewAppend(dirty, v)
-		if !reflect.DeepEqual(got[:2], []byte{0xAA, 0xBB}) {
-			t.Fatalf("append clobbered existing prefix: % x", got[:2])
+		got := frames.Keyframe(0xAA, v)
+		if got[0] != 0xAA {
+			t.Fatalf("kind byte = %#x, want 0xaa", got[0])
 		}
-		if !reflect.DeepEqual(got[2:], want) {
-			t.Fatalf("append bytes != marshal bytes for %+v", v)
+		if !reflect.DeepEqual(got[1:], want) {
+			t.Fatalf("keyframe bytes != marshal bytes for %+v", v)
 		}
-		rt, err := UnmarshalWorldView(got[2:])
+		rt, err := UnmarshalWorldView(got[1:])
 		if err != nil {
 			t.Fatal(err)
 		}

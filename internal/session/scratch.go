@@ -13,11 +13,10 @@ import (
 // in steady state the per-cell cost is construction and simulation, not
 // garbage.
 //
-//   - Pools feeds the transport endpoints and netem links: fragment and
+//   - Pools feeds the transport endpoints and netem links: wire and
 //     payload buffers, segment records, reassembly state. It reaches the
-//     stack through transport.Options.Pools, which also tightens the
-//     delivery contract — handlers must not retain payloads past the
-//     callback.
+//     stack through transport.Options.Pools; without a scratch each
+//     drive gets a fresh set, recycled only within the drive.
 //   - World recycles the world's actor slab, id index, and detection
 //     scratch (world.Arena).
 //   - Log is the telemetry RunLog, its record slices reused at capacity.

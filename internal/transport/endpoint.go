@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"time"
@@ -78,13 +79,9 @@ type Options struct {
 	// calibrated experiments run with a fixed window; enable this to
 	// study throughput collapse under loss (BenchmarkAblationCongestion).
 	Congestion bool
-	// Pools, when non-nil, makes the endpoint recycle fragment buffers,
-	// segment records, and reassembly state instead of allocating per
-	// packet. It tightens the delivery contract: a Handler must not
-	// retain the payload slice past the callback (copy what it keeps —
-	// every handler in this repo already does). Connect also attaches
-	// Pools.Net to both netem links. Nil keeps the legacy
-	// allocate-per-packet behavior and the laxer contract.
+	// Pools recycles wire buffers, segment records and reassembly state
+	// (see Pools). Nil gives the endpoint a private set; Connect gives
+	// both of its endpoints and links one shared set.
 	Pools *Pools
 }
 
@@ -101,12 +98,19 @@ func (o *Options) fillDefaults() {
 	if o.Name == "" {
 		o.Name = "endpoint"
 	}
+	if o.Pools == nil {
+		o.Pools = NewPools()
+	}
 }
 
 // Endpoint is one side of a message channel. Create a connected pair
 // with Connect, or wire endpoints to links manually with AttachLink +
 // HandlePacket. Endpoint is not safe for concurrent use; it is driven by
 // the single-threaded simulation loop.
+//
+// Delivery contract: the payload a Handler receives is valid only for
+// the duration of the callback — it aliases a pooled reassembly buffer
+// or the received packet. A handler copies what it keeps.
 type Endpoint struct {
 	opts    Options
 	clock   *simclock.Clock
@@ -138,26 +142,28 @@ type Endpoint struct {
 	// Reassembly of fragmented messages, keyed by msgID.
 	partials map[uint32]*partialMsg
 
-	// Recycling state (nil/empty without Options.Pools, except the wire
-	// and fragment scratch, which are safe unconditionally: netem clones
-	// every Send and the fragment slice is consumed within Send).
-	pools       *Pools
-	wireBuf     []byte   // EncodeFrameAppend scratch for transmit/sendAck
-	fragScratch [][]byte // fragmentize output slice, reused across Sends
-	asmBuf      []byte   // reassembly scratch (pools mode only)
+	pools  *Pools
+	ackBuf [frameOverhead]byte // ACK encode scratch; netem clones every Send
 }
 
+// partialMsg reassembles one fragmented message in place: chunk idx
+// lands at buf[idx*MTU:], so the complete message is buf[:total].
 type partialMsg struct {
-	chunks  [][]byte
+	buf     []byte
+	got     []bool // per chunk index
 	have    int
+	total   int // message length, known once the last chunk arrives
 	firstTS time.Duration
 }
 
+// segment is one unacknowledged fragment. wire holds its encoded frame:
+// a retransmission resends it verbatim (it carries the original send
+// time, as the latency accounting wants).
 type segment struct {
-	seq     uint64
-	payload []byte
-	sentAt  time.Duration
-	rtx     bool // retransmitted at least once (Karn's rule)
+	seq    uint64
+	wire   []byte
+	sentAt time.Duration
+	rtx    bool // retransmitted at least once (Karn's rule)
 }
 
 type heldMsg struct {
@@ -211,66 +217,43 @@ func (e *Endpoint) sendWindow() int {
 // Congestion mode).
 func (e *Endpoint) Cwnd() float64 { return e.cwnd }
 
-// fragmentize splits a message into MTU-sized chunks, each prefixed with
-// the fragment header: flags(1) msgID(4) fragIdx(2) fragCount(2). The
-// returned slice is the endpoint's reused scratch, valid until the next
-// Send; the fragment buffers come from the pool when one is attached.
-func (e *Endpoint) fragmentize(msgID uint32, payload []byte) [][]byte {
-	n := (len(payload) + MTU - 1) / MTU
-	if n == 0 {
-		n = 1
-	}
-	out := e.fragScratch[:0]
-	for i := 0; i < n; i++ {
-		lo := i * MTU
-		hi := lo + MTU
-		if hi > len(payload) {
-			hi = len(payload)
-		}
-		chunk := payload[lo:hi]
-		var buf []byte
-		if e.pools != nil {
-			buf = e.pools.buf(fragHeaderLen + len(chunk))
-		} else {
-			buf = make([]byte, fragHeaderLen+len(chunk))
-		}
-		if i == n-1 {
-			buf[0] = fragFlagLast
-		} else {
-			buf[0] = 0
-		}
-		buf[1] = byte(msgID >> 24)
-		buf[2] = byte(msgID >> 16)
-		buf[3] = byte(msgID >> 8)
-		buf[4] = byte(msgID)
-		buf[5] = byte(i >> 8)
-		buf[6] = byte(i)
-		buf[7] = byte(n >> 8)
-		buf[8] = byte(n)
-		copy(buf[fragHeaderLen:], chunk)
-		out = append(out, buf)
-	}
-	e.fragScratch = out
-	return out
+// maxFragments bounds a message's fragment count: MaxPayload in MTU
+// chunks. A larger count can only come from a hostile frame.
+const maxFragments = (MaxPayload + MTU - 1) / MTU
+
+// chunk returns fragment i's slice of payload.
+func chunk(payload []byte, i int) []byte {
+	return payload[i*MTU : min(len(payload), (i+1)*MTU)]
 }
 
-// cloneFrag copies a fragment-sized buffer into pooled storage when a
-// pool is attached, else into a fresh allocation.
+// fragFrameLen is the wire length of a fragment frame carrying n chunk
+// bytes.
+func fragFrameLen(n int) int { return frameOverhead + fragHeaderLen + n }
+
+// putFragment encodes fragment idx of count — frame header, fragment
+// header flags(1) msgID(4) fragIdx(2) fragCount(2), chunk and CRC — in
+// one pass into buf, which must be fragFrameLen(len(chunk)) bytes. The
+// bytes equal EncodeFrame of a frame whose payload is the fragment
+// header followed by the chunk.
+func putFragment(buf []byte, typ FrameType, seq uint64, ts time.Duration, msgID uint32, idx, count int, chunk []byte) {
+	putHeader(buf, typ, seq, ts, fragHeaderLen+len(chunk))
+	h := buf[headerLen:]
+	h[0] = 0
+	if idx == count-1 {
+		h[0] = fragFlagLast
+	}
+	binary.BigEndian.PutUint32(h[1:5], msgID)
+	binary.BigEndian.PutUint16(h[5:7], uint16(idx))
+	binary.BigEndian.PutUint16(h[7:9], uint16(count))
+	copy(h[fragHeaderLen:], chunk)
+	putTrailer(buf)
+}
+
+// cloneFrag copies a held frame payload into pooled storage.
 func (e *Endpoint) cloneFrag(b []byte) []byte {
-	if e.pools != nil && len(b) <= fragBufCap {
-		out := e.pools.buf(len(b))
-		copy(out, b)
-		return out
-	}
-	return cloneBytes(b)
-}
-
-// recycleBuf returns a buffer obtained from the pool; a no-op without
-// one (the garbage collector takes it).
-func (e *Endpoint) recycleBuf(b []byte) {
-	if e.pools != nil {
-		e.pools.putBuf(b)
-	}
+	out := e.pools.Net.Get(len(b))
+	copy(out, b)
+	return out
 }
 
 // parseFragment splits a fragment header off a wire payload.
@@ -316,19 +299,18 @@ func (e *Endpoint) Send(payload []byte) error {
 	}
 	now := e.clock.Now()
 	e.nextMsgID++
-	frags := e.fragmentize(e.nextMsgID, payload)
+	msgID := e.nextMsgID
+	n := max(1, (len(payload)+MTU-1)/MTU) // fragments; an empty message still takes one
 
 	if !e.opts.Reliable {
-		for _, frag := range frags {
-			wire, err := EncodeFrameAppend(e.wireBuf[:0], Frame{Type: FrameDatagram, Seq: e.nextSeq, Timestamp: now, Payload: frag})
-			if err != nil {
-				return err
-			}
-			e.wireBuf = wire
+		for i := 0; i < n; i++ {
+			c := chunk(payload, i)
+			wire := e.pools.Net.Get(fragFrameLen(len(c)))
+			putFragment(wire, FrameDatagram, e.nextSeq, now, msgID, i, n, c)
 			e.nextSeq++
 			e.stats.FragmentsSent++
-			e.out.Send(wire) // netem clones; wire and frag are free again
-			e.recycleBuf(frag)
+			e.out.Send(wire) // netem clones
+			e.pools.Net.Put(wire)
 		}
 		e.stats.MsgsSent++
 		return nil
@@ -341,53 +323,28 @@ func (e *Endpoint) Send(payload []byte) error {
 	if e.opts.Congestion {
 		if len(e.unacked) >= e.sendWindow() {
 			e.stats.WindowRejects++
-			e.recycleFrags(frags)
 			return fmt.Errorf("%w (%s: %d in flight, cwnd %d)", ErrWindowFull, e.opts.Name, len(e.unacked), e.sendWindow())
 		}
-	} else if len(e.unacked)+len(frags) > e.opts.Window {
+	} else if len(e.unacked)+n > e.opts.Window {
 		e.stats.WindowRejects++
-		e.recycleFrags(frags)
-		return fmt.Errorf("%w (%s: %d in flight, %d new, window %d)", ErrWindowFull, e.opts.Name, len(e.unacked), len(frags), e.opts.Window)
+		return fmt.Errorf("%w (%s: %d in flight, %d new, window %d)", ErrWindowFull, e.opts.Name, len(e.unacked), n, e.opts.Window)
 	}
-	for _, frag := range frags {
-		var seg *segment
-		if e.pools != nil {
-			seg = e.pools.seg()
-			seg.seq, seg.payload, seg.sentAt = e.nextSeq, frag, now
-		} else {
-			seg = &segment{seq: e.nextSeq, payload: frag, sentAt: now}
-		}
+	for i := 0; i < n; i++ {
+		c := chunk(payload, i)
+		seg := e.pools.seg()
+		seg.seq, seg.sentAt = e.nextSeq, now
+		seg.wire = e.pools.Net.Get(fragFrameLen(len(c)))
+		putFragment(seg.wire, FrameData, seg.seq, now, msgID, i, n, c)
 		e.nextSeq++
 		e.unacked = append(e.unacked, seg)
 		e.stats.FragmentsSent++
-		e.transmit(seg, now)
+		e.out.Send(seg.wire)
 	}
 	e.stats.MsgsSent++
 	if e.rtxTimer.Stopped() {
 		e.armTimer()
 	}
 	return nil
-}
-
-// recycleFrags returns a window-rejected message's fragments to the pool.
-func (e *Endpoint) recycleFrags(frags [][]byte) {
-	if e.pools == nil {
-		return
-	}
-	for _, frag := range frags {
-		e.pools.putBuf(frag)
-	}
-}
-
-func (e *Endpoint) transmit(seg *segment, now time.Duration) {
-	wire, err := EncodeFrameAppend(e.wireBuf[:0], Frame{Type: FrameData, Seq: seg.seq, Timestamp: now, Payload: seg.payload})
-	if err != nil {
-		// Payload size is validated once at Send time; failure here is a
-		// programming error worth surfacing loudly in simulation.
-		panic(fmt.Sprintf("transport: %s: encode: %v", e.opts.Name, err))
-	}
-	e.wireBuf = wire
-	e.out.Send(wire)
 }
 
 // HandlePacket is the netem receiver for the endpoint's ingress link:
@@ -429,7 +386,7 @@ func (e *Endpoint) handleData(f Frame) {
 			}
 			delete(e.held, e.nextExpected)
 			e.acceptFragment(h.payload, h.sentAt, now)
-			e.recycleBuf(h.payload)
+			e.pools.Net.Put(h.payload)
 			e.nextExpected++
 		}
 	default: // gap: hold until the missing segment arrives
@@ -451,70 +408,59 @@ func (e *Endpoint) handleDatagram(f Frame) {
 // delivers the message once every fragment is present. The delivered
 // latency spans from the earliest fragment's send time — so a frame
 // delayed by a retransmitted fragment carries the whole stall.
+//
+// Only putFragment produces fragments, so every chunk but the last is
+// exactly MTU bytes and the last is at most MTU; a fragment breaking
+// that geometry is corrupt. A one-fragment message is delivered straight
+// from buf.
 func (e *Endpoint) acceptFragment(buf []byte, ts, now time.Duration) {
-	msgID, idx, count, chunk, ok := parseFragment(buf)
-	if !ok {
+	msgID, idx, count, c, ok := parseFragment(buf)
+	if !ok || count > maxFragments || len(c) > MTU || (idx < count-1 && len(c) != MTU) {
 		e.stats.CorruptDropped++
+		return
+	}
+	if count == 1 {
+		e.complete(msgID, c, ts, now)
 		return
 	}
 	p := e.partials[msgID]
 	if p == nil {
-		if e.pools != nil {
-			p = e.pools.partial(count)
-			p.firstTS = ts
-		} else {
-			p = &partialMsg{chunks: make([][]byte, count), firstTS: ts}
-		}
+		p = e.pools.partial(count)
+		p.firstTS = ts
 		e.partials[msgID] = p
 	}
-	if len(p.chunks) != count {
+	if len(p.got) != count {
 		// Inconsistent duplicate with a different count: drop the whole
 		// message rather than deliver garbage.
 		delete(e.partials, msgID)
-		if e.pools != nil {
-			e.pools.putPartial(p)
-		}
+		e.pools.putPartial(p)
 		e.stats.CorruptDropped++
 		return
-	}
-	if p.chunks[idx] == nil {
-		p.chunks[idx] = e.cloneFrag(chunk)
-		p.have++
 	}
 	if ts < p.firstTS {
 		p.firstTS = ts
 	}
+	if p.got[idx] {
+		e.stats.DuplicateDrops++
+		return
+	}
+	p.got[idx] = true
+	p.have++
+	copy(p.buf[idx*MTU:], c)
+	if idx == count-1 {
+		p.total = idx*MTU + len(c)
+	}
 	if p.have < count {
 		return
 	}
-	total := 0
-	for _, c := range p.chunks {
-		total += len(c)
-	}
-	var full []byte
-	if e.pools != nil {
-		// Reused assembly scratch: the delivery contract under pooling
-		// says the handler must not retain the payload, so one buffer
-		// serves every delivery on this endpoint.
-		if cap(e.asmBuf) < total {
-			e.asmBuf = make([]byte, 0, total)
-		}
-		full = e.asmBuf[:0]
-	} else {
-		full = make([]byte, 0, total)
-	}
-	for _, c := range p.chunks {
-		full = append(full, c...)
-	}
-	if e.pools != nil {
-		e.asmBuf = full
-	}
 	delete(e.partials, msgID)
-	firstTS := p.firstTS
-	if e.pools != nil {
-		e.pools.putPartial(p) // also recycles the chunk buffers
-	}
+	e.complete(msgID, p.buf[:p.total], p.firstTS, now)
+	e.pools.putPartial(p)
+}
 
+// complete delivers a reassembled message, after the datagram-mode
+// bookkeeping.
+func (e *Endpoint) complete(msgID uint32, payload []byte, firstTS, now time.Duration) {
 	if !e.opts.Reliable {
 		if msgID <= uint32(e.lastDatagram) && e.lastDatagram != 0 {
 			// Stale datagram message: deliver anyway (the application
@@ -527,13 +473,11 @@ func (e *Endpoint) acceptFragment(buf []byte, ts, now time.Duration) {
 		for id, pm := range e.partials {
 			if id+32 < msgID {
 				delete(e.partials, id)
-				if e.pools != nil {
-					e.pools.putPartial(pm)
-				}
+				e.pools.putPartial(pm)
 			}
 		}
 	}
-	e.deliver(full, uint64(msgID), now-firstTS)
+	e.deliver(payload, uint64(msgID), now-firstTS)
 }
 
 func (e *Endpoint) deliver(payload []byte, seq uint64, latency time.Duration) {
@@ -543,13 +487,11 @@ func (e *Endpoint) deliver(payload []byte, seq uint64, latency time.Duration) {
 
 func (e *Endpoint) sendAck() {
 	// Cumulative ACK: everything below nextExpected has been delivered.
-	wire, err := EncodeFrameAppend(e.wireBuf[:0], Frame{Type: FrameAck, Seq: e.nextExpected - 1, Timestamp: e.clock.Now()})
-	if err != nil {
-		panic(fmt.Sprintf("transport: %s: encode ack: %v", e.opts.Name, err))
-	}
-	e.wireBuf = wire
+	ack := e.ackBuf[:]
+	putHeader(ack, FrameAck, e.nextExpected-1, e.clock.Now(), 0)
+	putTrailer(ack)
 	e.stats.AcksSent++
-	e.out.Send(wire)
+	e.out.Send(ack) // netem clones
 }
 
 func (e *Endpoint) handleAck(f Frame) {
@@ -576,11 +518,9 @@ func (e *Endpoint) handleAck(f Frame) {
 	}
 	if m > 0 {
 		newlyAcked := m
-		if e.pools != nil {
-			for _, seg := range e.unacked[:m] {
-				e.pools.putBuf(seg.payload)
-				e.pools.putSeg(seg)
-			}
+		for _, seg := range e.unacked[:m] {
+			e.pools.Net.Put(seg.wire)
+			e.pools.putSeg(seg)
 		}
 		n := copy(e.unacked, e.unacked[m:])
 		clear(e.unacked[n:])
@@ -614,7 +554,7 @@ func (e *Endpoint) handleAck(f Frame) {
 			seg := e.unacked[0]
 			seg.rtx = true
 			e.stats.Retransmits++
-			e.transmit(seg, seg.sentAt)
+			e.out.Send(seg.wire)
 			if e.opts.Congestion {
 				// Fast recovery: multiplicative decrease.
 				e.ssthresh = e.cwnd / 2
@@ -675,7 +615,7 @@ func (e *Endpoint) onTimeout(now time.Duration) {
 	seg := e.unacked[0]
 	seg.rtx = true
 	e.stats.Retransmits++
-	e.transmit(seg, seg.sentAt) // keep original timestamp for latency accounting
+	e.out.Send(seg.wire) // carries the original timestamp for latency accounting
 	if e.opts.Congestion {
 		// RTO: collapse to one segment, as Reno does.
 		e.ssthresh = e.cwnd / 2
@@ -700,12 +640,6 @@ func clampDur(d, lo, hi time.Duration) time.Duration {
 	return d
 }
 
-func cloneBytes(b []byte) []byte {
-	out := make([]byte, len(b))
-	copy(out, b)
-	return out
-}
-
 // Conn is a connected pair of endpoints with their two netem links,
 // the standard way to build a vehicle↔station channel.
 type Conn struct {
@@ -720,8 +654,13 @@ type Conn struct {
 
 // Connect builds a reliable (or datagram, per opts.Reliable) duplex
 // channel between two handlers. aHandler receives messages sent by B and
-// vice versa.
+// vice versa. Both endpoints and both links share opts.Pools (a fresh
+// set when nil): the simulation loop is single-threaded, and an
+// endpoint's received buffers recycle into its own next sends.
 func Connect(clock *simclock.Clock, seed int64, opts Options, aHandler, bHandler Handler) *Conn {
+	if opts.Pools == nil {
+		opts.Pools = NewPools()
+	}
 	optsA, optsB := opts, opts
 	if optsA.Name == "" {
 		optsA.Name, optsB.Name = "A", "B"
@@ -732,13 +671,8 @@ func Connect(clock *simclock.Clock, seed int64, opts Options, aHandler, bHandler
 	a := NewEndpoint(clock, optsA, aHandler)
 	b := NewEndpoint(clock, optsB, bHandler)
 	links := netem.NewDuplex(clock, seed, b.HandlePacket, a.HandlePacket)
-	if opts.Pools != nil {
-		// One payload pool serves both directions: the simulation loop is
-		// single-threaded, and an endpoint's received buffers recycle into
-		// its own next sends.
-		links.Down.SetBufferPool(opts.Pools.Net)
-		links.Up.SetBufferPool(opts.Pools.Net)
-	}
+	links.Down.SetBufferPool(opts.Pools.Net)
+	links.Up.SetBufferPool(opts.Pools.Net)
 	a.AttachLink(links.Down)
 	b.AttachLink(links.Up)
 	return &Conn{A: a, B: b, Links: links}

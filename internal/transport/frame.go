@@ -14,7 +14,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"slices"
 	"time"
 )
@@ -74,8 +73,6 @@ var (
 	ErrPayloadTooBig = errors.New("transport: payload exceeds MaxPayload")
 )
 
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
 // EncodeFrame serializes f. The layout is
 //
 //	magic(2) type(1) seq(8) timestamp(8) payloadLen(4) payload CRC32C(4)
@@ -86,11 +83,9 @@ func EncodeFrame(f Frame) ([]byte, error) {
 }
 
 // EncodeFrameAppend serializes f appended to dst (usually dst[:0] of a
-// reused scratch buffer) and returns the extended slice. It is the
-// allocation-free form of EncodeFrame for hot paths whose consumer
-// copies the wire bytes before the next encode — netem's Send clones
-// every payload, so the endpoint reuses one scratch buffer for every
-// frame it puts on a link.
+// reused scratch buffer) and returns the extended slice: the
+// allocation-free form of EncodeFrame for callers that are done with the
+// bytes before the next encode into the same buffer.
 func EncodeFrameAppend(dst []byte, f Frame) ([]byte, error) {
 	if len(f.Payload) > MaxPayload {
 		return nil, fmt.Errorf("%w: %d bytes", ErrPayloadTooBig, len(f.Payload))
@@ -99,15 +94,26 @@ func EncodeFrameAppend(dst []byte, f Frame) ([]byte, error) {
 	need := headerLen + len(f.Payload) + trailerLen
 	dst = slices.Grow(dst, need)
 	buf := dst[start : start+need]
-	binary.BigEndian.PutUint16(buf[0:2], frameMagic)
-	buf[2] = uint8(f.Type)
-	binary.BigEndian.PutUint64(buf[3:11], f.Seq)
-	binary.BigEndian.PutUint64(buf[11:19], uint64(f.Timestamp))
-	binary.BigEndian.PutUint32(buf[19:23], uint32(len(f.Payload)))
+	putHeader(buf, f.Type, f.Seq, f.Timestamp, len(f.Payload))
 	copy(buf[headerLen:], f.Payload)
-	sum := crc32.Checksum(buf[:headerLen+len(f.Payload)], crcTable)
-	binary.BigEndian.PutUint32(buf[headerLen+len(f.Payload):], sum)
+	putTrailer(buf)
 	return dst[:start+need], nil
+}
+
+// putHeader writes the frame header for a plen-byte payload into buf.
+func putHeader(buf []byte, typ FrameType, seq uint64, ts time.Duration, plen int) {
+	binary.BigEndian.PutUint16(buf[0:2], frameMagic)
+	buf[2] = uint8(typ)
+	binary.BigEndian.PutUint64(buf[3:11], seq)
+	binary.BigEndian.PutUint64(buf[11:19], uint64(ts))
+	binary.BigEndian.PutUint32(buf[19:23], uint32(plen))
+}
+
+// putTrailer writes the CRC of everything before the trailer into the
+// last trailerLen bytes of a complete frame buffer.
+func putTrailer(buf []byte) {
+	body := len(buf) - trailerLen
+	binary.BigEndian.PutUint32(buf[body:], checksum(buf[:body]))
 }
 
 // DecodeFrame parses a wire buffer produced by EncodeFrame. The returned
@@ -125,7 +131,7 @@ func DecodeFrame(buf []byte) (Frame, error) {
 	}
 	body := buf[:headerLen+int(plen)]
 	want := binary.BigEndian.Uint32(buf[headerLen+int(plen):])
-	if crc32.Checksum(body, crcTable) != want {
+	if checksum(body) != want {
 		return Frame{}, fmt.Errorf("%w: crc mismatch", ErrCorruptFrame)
 	}
 	return Frame{

@@ -5,6 +5,9 @@ package transport
 import (
 	"bytes"
 	"testing"
+	"time"
+
+	"teledrive/internal/simclock"
 )
 
 // TestEncodeFrameAllocs pins EncodeFrameAppend's growth: the output
@@ -22,5 +25,35 @@ func TestEncodeFrameAllocs(t *testing.T) {
 		if n > 1 {
 			t.Errorf("EncodeFrame of a %d-byte payload allocates %v objects, want <= 1", size, n)
 		}
+	}
+}
+
+// TestTransportSteadyStateAllocs pins the one-copy byte path: once the
+// pools are warm, a reliable 24 kB message through Connect — encoded
+// into pooled segment frames, cloned by netem, reassembled in place,
+// delivered and acknowledged — allocates nothing.
+func TestTransportSteadyStateAllocs(t *testing.T) {
+	clk := simclock.New()
+	delivered := 0
+	conn := Connect(clk, 1, Options{Reliable: true},
+		func([]byte, uint64, time.Duration) {},
+		func(p []byte, _ uint64, _ time.Duration) { delivered += len(p) })
+	msg := make([]byte, 24<<10)
+	msg[0] = 1
+	roundTrip := func() {
+		if err := conn.A.Send(msg); err != nil {
+			t.Fatal(err)
+		}
+		clk.Advance(time.Millisecond)
+	}
+	for i := 0; i < 20; i++ {
+		roundTrip()
+	}
+	n := testing.AllocsPerRun(100, roundTrip)
+	if n != 0 {
+		t.Errorf("steady-state 24 kB reliable round trip allocates %v objects per message, want 0", n)
+	}
+	if conn.A.InFlight() != 0 || delivered != 121*len(msg) {
+		t.Fatalf("in flight %d, delivered %d bytes, want 0 and %d", conn.A.InFlight(), delivered, 121*len(msg))
 	}
 }

@@ -83,17 +83,26 @@ func TestDecodeBadMagic(t *testing.T) {
 
 func TestEveryBitFlipDetected(t *testing.T) {
 	// The whole point of the CRC: any single bit flip — netem's corrupt
-	// fault — must be detected.
-	buf, err := EncodeFrame(Frame{Type: FrameData, Seq: 99, Timestamp: time.Second, Payload: []byte("remote driving payload")})
+	// fault — must be detected. The second frame is a full zero-filled
+	// mid-fragment, whose zero run the checksum folds by table: a flip
+	// there must fail decoding like any other.
+	text, err := EncodeFrame(Frame{Type: FrameData, Seq: 99, Timestamp: time.Second, Payload: []byte("remote driving payload")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for bit := 0; bit < len(buf)*8; bit++ {
+	zeroFrag := make([]byte, fragFrameLen(MTU))
+	putFragment(zeroFrag, FrameData, 99, time.Second, 7, 3, 18, make([]byte, MTU))
+	for _, buf := range [][]byte{text, zeroFrag} {
+		if _, err := DecodeFrame(buf); err != nil {
+			t.Fatalf("intact %d-byte frame rejected: %v", len(buf), err)
+		}
 		mut := make([]byte, len(buf))
-		copy(mut, buf)
-		mut[bit/8] ^= 1 << (bit % 8)
-		if _, err := DecodeFrame(mut); err == nil {
-			t.Fatalf("bit flip at %d went undetected", bit)
+		for bit := 0; bit < len(buf)*8; bit++ {
+			copy(mut, buf)
+			mut[bit/8] ^= 1 << (bit % 8)
+			if _, err := DecodeFrame(mut); err == nil {
+				t.Fatalf("%d-byte frame: bit flip at %d went undetected", len(buf), bit)
+			}
 		}
 	}
 }

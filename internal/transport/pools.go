@@ -2,15 +2,10 @@ package transport
 
 import "teledrive/internal/netem"
 
-// fragBufCap is the capacity of a pooled fragment buffer: one MTU-sized
-// chunk plus its fragment header. Every buffer the endpoint clones —
-// outgoing fragments, held out-of-order frames, reassembly chunks — fits
-// in one.
-const fragBufCap = fragHeaderLen + MTU
-
 // Pools is the shared buffer economy of one simulation's transport
-// stack: outgoing fragment buffers and their segment records, reassembly
-// state, and the netem payload pool for the links underneath. One Pools
+// stack: segment records and reassembly state, plus the netem payload
+// pool that also holds every transport byte buffer — segment wire
+// frames, held out-of-order frames and reassembly buffers. One Pools
 // serves both endpoints of a Conn — the simulation loop is
 // single-threaded, so there is no contention — and survives across runs
 // when owned by a session.RunScratch, which is what makes the second
@@ -19,10 +14,10 @@ const fragBufCap = fragHeaderLen + MTU
 // Pools is not safe for concurrent use. Never share one Pools between
 // concurrently executing simulations.
 type Pools struct {
-	// Net recycles packet payload clones inside the netem links.
+	// Net recycles byte buffers: packet payload clones inside the netem
+	// links and the endpoints' own buffers.
 	Net *netem.BufferPool
 
-	bufs     [][]byte
 	segs     []*segment
 	partials []*partialMsg
 }
@@ -30,27 +25,6 @@ type Pools struct {
 // NewPools returns an empty pool set.
 func NewPools() *Pools {
 	return &Pools{Net: netem.NewBufferPool()}
-}
-
-// buf returns a length-n buffer (n ≤ fragBufCap) with arbitrary
-// contents; callers overwrite every byte.
-func (p *Pools) buf(n int) []byte {
-	if l := len(p.bufs); l > 0 {
-		b := p.bufs[l-1]
-		p.bufs[l-1] = nil
-		p.bufs = p.bufs[:l-1]
-		return b[:n]
-	}
-	return make([]byte, n, fragBufCap)
-}
-
-// putBuf recycles a buffer taken from buf. Foreign buffers (different
-// capacity) are dropped for the garbage collector.
-func (p *Pools) putBuf(b []byte) {
-	if cap(b) != fragBufCap {
-		return
-	}
-	p.bufs = append(p.bufs, b[:0])
 }
 
 // seg returns a zeroed segment record.
@@ -64,15 +38,15 @@ func (p *Pools) seg() *segment {
 	return &segment{}
 }
 
-// putSeg recycles a segment record. The payload buffer is recycled
-// separately (putBuf) by the caller.
+// putSeg recycles a segment record. The wire buffer is recycled
+// separately (Net.Put) by the caller.
 func (p *Pools) putSeg(s *segment) {
 	*s = segment{}
 	p.segs = append(p.segs, s)
 }
 
-// partial returns a reassembly record sized for count chunks, with every
-// chunk slot nil.
+// partial returns a reassembly record for count chunks, with no chunk
+// present and a buffer of count×MTU bytes of arbitrary contents.
 func (p *Pools) partial(count int) *partialMsg {
 	var pm *partialMsg
 	if l := len(p.partials); l > 0 {
@@ -82,25 +56,20 @@ func (p *Pools) partial(count int) *partialMsg {
 	} else {
 		pm = &partialMsg{}
 	}
-	if cap(pm.chunks) < count {
-		pm.chunks = make([][]byte, count)
+	pm.buf = p.Net.Get(count * MTU)
+	if cap(pm.got) < count {
+		pm.got = make([]bool, count)
 	} else {
-		pm.chunks = pm.chunks[:count]
-		clear(pm.chunks)
+		pm.got = pm.got[:count]
+		clear(pm.got)
 	}
-	pm.have = 0
-	pm.firstTS = 0
+	pm.have, pm.total, pm.firstTS = 0, 0, 0
 	return pm
 }
 
-// putPartial recycles a reassembly record. Chunk buffers still attached
-// are recycled too.
+// putPartial recycles a reassembly record and its buffer.
 func (p *Pools) putPartial(pm *partialMsg) {
-	for i, c := range pm.chunks {
-		if c != nil {
-			p.putBuf(c)
-			pm.chunks[i] = nil
-		}
-	}
+	p.Net.Put(pm.buf)
+	pm.buf = nil
 	p.partials = append(p.partials, pm)
 }

@@ -87,31 +87,33 @@ func BenchmarkCameraCapture(b *testing.B) {
 	// The production per-frame path (bridge server cameraTick): capture
 	// into a reused view, marshal into a reused buffer.
 	var view sensors.WorldView
+	var frames sensors.FrameBuffer
 	var buf []byte
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cam.CaptureInto(&view)
-		buf = sensors.MarshalWorldViewAppend(buf[:0], view)
+		buf = frames.Keyframe(0, view)
 	}
-	if _, err := sensors.UnmarshalWorldView(buf); err != nil {
+	if _, err := sensors.UnmarshalWorldView(buf[1:]); err != nil {
 		b.Fatal(err)
 	}
 }
 
-func BenchmarkMarshalWorldViewAppend(b *testing.B) {
+func BenchmarkFrameBufferKeyframe(b *testing.B) {
 	built, err := scenario.FollowVehicle().Build()
 	if err != nil {
 		b.Fatal(err)
 	}
 	view := sensors.NewCamera(built.World, built.Ego).Capture()
+	var frames sensors.FrameBuffer
 	var buf []byte
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = sensors.MarshalWorldViewAppend(buf[:0], view)
+		buf = frames.Keyframe(0, view)
 	}
-	if _, err := sensors.UnmarshalWorldView(buf); err != nil {
+	if _, err := sensors.UnmarshalWorldView(buf[1:]); err != nil {
 		b.Fatal(err)
 	}
 }
