@@ -92,8 +92,9 @@ race-search:
 # zero-run checksum (must equal crc32 for any bytes plus a zero run),
 # the endpoint receive path (arbitrary frames must never panic or be
 # silently lost), the spatial-index equivalence property (grid-indexed
-# projection must stay bit-identical to the linear reference scan), and
-# the Prometheus exposition writer (arbitrary metric/label names must
+# projection must stay bit-identical to the linear reference scan), the
+# neighbour-list Projector along random walks (every warm answer must
+# equal the linear scan's bits), and the Prometheus exposition writer (arbitrary metric/label names must
 # sanitize into grammar-valid output).
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzParseAllow -fuzztime=5s ./internal/analysis
@@ -102,6 +103,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzChecksum -fuzztime=5s ./internal/transport
 	$(GO) test -run='^$$' -fuzz=FuzzEndpointReceive -fuzztime=5s ./internal/transport
 	$(GO) test -run='^$$' -fuzz=FuzzProjectEquivalence -fuzztime=5s ./internal/geom
+	$(GO) test -run='^$$' -fuzz=FuzzProjectorWalk -fuzztime=5s ./internal/geom
 	$(GO) test -run='^$$' -fuzz=FuzzExposition -fuzztime=5s ./internal/telemetry
 	$(GO) test -run='^$$' -fuzz=FuzzWireProtocol -fuzztime=5s ./internal/campaignd
 	$(GO) test -run='^$$' -fuzz=FuzzApplyWorldViewDelta -fuzztime=5s ./internal/sensors

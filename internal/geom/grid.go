@@ -170,10 +170,13 @@ func clampCell(v float64, n int) int {
 // and cell edges. Both are orders of magnitude above the rounding and
 // far below any distance that matters for pruning.
 func (g *segGrid) pruneLimit(best float64) float64 {
-	const rel = 1e-9
-	s := math.Sqrt(best)*(1+rel) + g.slack
+	s := math.Sqrt(best)*(1+pruneRel) + g.slack
 	return s * s
 }
+
+// pruneRel is pruneLimit's relative margin; Projector's certificate
+// applies the same margin.
+const pruneRel = 1e-9
 
 // ringDistSq returns a lower bound on the squared distance from q to
 // any unscanned cell — a cell at Chebyshev ring r or beyond around

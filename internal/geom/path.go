@@ -231,11 +231,22 @@ func (p *Path) projectIdx(q Vec2, hint int) (idx int, station, lateral float64) 
 	if p.grid == nil {
 		return p.projectLinear(q)
 	}
-	g := p.grid
 	st := newProjState()
 	if hint >= 0 && hint < len(p.pts)-1 {
 		p.considerSeg(&st, hint, q)
 	}
+	p.walk(&st, q)
+	return p.result(&st, q)
+}
+
+// walk completes a gridded projection query: it scans Chebyshev rings
+// outward from q's cell until the ring bound exceeds the pruning
+// threshold of st's best. st may arrive seeded with any candidates (a
+// hint, a Projector's neighbour list); seeds only tighten the initial
+// bound, so on return st holds the exact (distance, index) minimum over
+// every segment.
+func (p *Path) walk(st *projState, q Vec2) {
+	g := p.grid
 	cx := g.cellX(q.X)
 	cy := g.cellY(q.Y)
 	maxR := max(cx, g.nx-1-cx, cy, g.ny-1-cy)
@@ -246,9 +257,8 @@ func (p *Path) projectIdx(q Vec2, hint int) (idx int, station, lateral float64) 
 		if r > 0 && g.ringDistSq(q, cx, cy, r) > g.pruneLimit(st.bestD) {
 			break
 		}
-		p.scanRing(&st, q, cx, cy, r)
+		p.scanRing(st, q, cx, cy, r)
 	}
-	return p.result(&st, q)
 }
 
 // scanRing evaluates the segments registered in the cells of Chebyshev

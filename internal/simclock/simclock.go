@@ -9,10 +9,20 @@
 // Simulated time is represented as time.Duration elapsed since the start
 // of the simulation (t = 0). There is no epoch; absolute dates are
 // meaningless inside a run.
+//
+// Pending timers live in two queues. A FIFO lane holds the no-handle
+// tasks (ScheduleTask/ScheduleTaskAt) whose deadline is the current
+// instant — the zero-delay deliveries of a transparent netem link,
+// about 85% of a campaign's task timers — and a binary heap holds every
+// other timer. Every lane task shares one instant and enters in sequence
+// order, so the lane is sorted by (at, seq) for free, and the clock
+// fires whichever of the lane head and the heap top has the smaller
+// (at, seq): one total order, the same as a single heap's.
 package simclock
 
 import (
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -24,12 +34,17 @@ import (
 type Clock struct {
 	now   time.Duration
 	queue timerQueue
-	seq   uint64
-	// free recycles the Timer structs of fired task timers
-	// (ScheduleTask/ScheduleTaskAt). Handle-returning Schedule/ScheduleAt
-	// timers are never recycled: callers may hold the *Timer arbitrarily
-	// long, and a recycled handle would let a stale Cancel hit an
-	// unrelated timer.
+	// lane[laneHead:] holds the pending same-instant tasks in scheduling
+	// order; every entry's at is now (time cannot advance past a
+	// pending lane task, which is due).
+	lane     []laneTask
+	laneHead int
+	seq      uint64
+	// free recycles the Timer structs of fired heap task timers
+	// (ScheduleTask/ScheduleTaskAt; lane tasks need none).
+	// Handle-returning Schedule/ScheduleAt timers are never recycled:
+	// callers may hold the *Timer arbitrarily long, and a recycled
+	// handle would let a stale Cancel hit an unrelated timer.
 	free []*Timer
 }
 
@@ -52,7 +67,6 @@ type Timer struct {
 	task    TimerTask // pooled no-handle callback; fn takes precedence
 	index   int       // heap index; -1 once fired or cancelled
 	stopped bool
-	pooled  bool // recycle into Clock.free after firing
 }
 
 // TimerTask is the no-handle form of a timer callback. Tasks scheduled
@@ -63,6 +77,13 @@ type Timer struct {
 type TimerTask interface {
 	// Fire runs at the scheduled instant with the current simulated time.
 	Fire(now time.Duration)
+}
+
+// laneTask is a pending same-instant task, held by value in the lane.
+type laneTask struct {
+	at   time.Duration
+	seq  uint64
+	task TimerTask
 }
 
 // At returns the simulated time the timer is scheduled to fire.
@@ -115,27 +136,44 @@ func (c *Clock) ScheduleTask(d time.Duration, task TimerTask) {
 // (clamped to the current time when in the past). It is ScheduleAt for
 // callers that never cancel: no handle is returned, and the timer struct
 // comes from (and returns to) an internal freelist, so steady-state
-// scheduling allocates nothing. Ordering is identical to ScheduleAt —
-// each call consumes exactly one sequence number, so task timers and
-// handle timers scheduled for the same instant still fire in scheduling
-// order.
+// scheduling allocates nothing. A task due at the current instant (after
+// clamping) skips the heap: it is appended to the same-instant lane,
+// which needs no Timer at all. Ordering is identical to ScheduleAt —
+// each call consumes exactly one sequence number, and the lane and the
+// heap merge by (at, seq), so task timers and handle timers scheduled
+// for the same instant still fire in scheduling order.
 func (c *Clock) ScheduleTaskAt(at time.Duration, task TimerTask) {
 	if task == nil {
 		panic("simclock: ScheduleTaskAt with nil task")
 	}
-	if at < c.now {
-		at = c.now
+	if at <= c.now {
+		c.pushLane(task)
+		return
 	}
 	var t *Timer
 	if n := len(c.free); n > 0 {
 		t = c.free[n-1]
 		c.free = c.free[:n-1]
-		*t = Timer{at: at, seq: c.seq, task: task, pooled: true}
+		*t = Timer{at: at, seq: c.seq, task: task}
 	} else {
-		t = &Timer{at: at, seq: c.seq, task: task, pooled: true}
+		t = &Timer{at: at, seq: c.seq, task: task}
 	}
 	c.seq++
 	c.queue.push(t)
+}
+
+// pushLane appends a task due now to the lane, first sliding the pending
+// entries down when the consumed prefix is all that stands between the
+// lane and a reallocation.
+func (c *Clock) pushLane(task TimerTask) {
+	if c.laneHead > 0 && len(c.lane) == cap(c.lane) {
+		n := copy(c.lane, c.lane[c.laneHead:])
+		clear(c.lane[n:])
+		c.lane = c.lane[:n]
+		c.laneHead = 0
+	}
+	c.lane = append(c.lane, laneTask{at: c.now, seq: c.seq, task: task})
+	c.seq++
 }
 
 // NewTimer returns an unscheduled timer bound to fn, for callers that
@@ -195,16 +233,56 @@ func (c *Clock) Cancel(t *Timer) bool {
 
 // PendingTimers returns the number of timers waiting to fire.
 func (c *Clock) PendingTimers() int {
-	return len(c.queue)
+	return len(c.queue) + len(c.lane) - c.laneHead
 }
 
 // NextAt returns the firing time of the earliest pending timer. The second
 // return value is false when no timers are pending.
 func (c *Clock) NextAt() (time.Duration, bool) {
+	if c.laneFirst() {
+		return c.lane[c.laneHead].at, true
+	}
 	if len(c.queue) == 0 {
 		return 0, false
 	}
 	return c.queue[0].at, true
+}
+
+// laneFirst reports whether the lane head is the earliest pending timer:
+// the lane is non-empty and its head precedes the heap top by (at, seq).
+func (c *Clock) laneFirst() bool {
+	if c.laneHead == len(c.lane) {
+		return false
+	}
+	if len(c.queue) == 0 {
+		return true
+	}
+	l, h := &c.lane[c.laneHead], c.queue[0]
+	return l.at < h.at || l.at == h.at && l.seq < h.seq
+}
+
+// fireNext fires the earliest pending timer if it is due at or before
+// limit, and reports whether one fired.
+func (c *Clock) fireNext(limit time.Duration) bool {
+	if c.laneFirst() {
+		e := c.lane[c.laneHead]
+		if e.at > limit {
+			return false
+		}
+		c.lane[c.laneHead] = laneTask{}
+		if c.laneHead++; c.laneHead == len(c.lane) {
+			c.lane = c.lane[:0]
+			c.laneHead = 0
+		}
+		c.now = e.at
+		e.task.Fire(e.at)
+		return true
+	}
+	if len(c.queue) == 0 || c.queue[0].at > limit {
+		return false
+	}
+	c.fire(c.queue.remove(0))
+	return true
 }
 
 // Advance moves simulated time forward by d, firing all timers scheduled
@@ -224,8 +302,7 @@ func (c *Clock) AdvanceTo(t time.Duration) {
 	if t < c.now {
 		panic(fmt.Sprintf("simclock: AdvanceTo(%v) before current time %v", t, c.now))
 	}
-	for len(c.queue) > 0 && c.queue[0].at <= t {
-		c.fire(c.queue.remove(0))
+	for c.fireNext(t) {
 	}
 	c.now = t
 }
@@ -251,11 +328,7 @@ func (c *Clock) fire(tm *Timer) {
 // deadline. It reports whether a timer fired; when no timers are pending
 // the clock is unchanged and Step returns false.
 func (c *Clock) Step() bool {
-	if len(c.queue) == 0 {
-		return false
-	}
-	c.fire(c.queue.remove(0))
-	return true
+	return c.fireNext(math.MaxInt64)
 }
 
 // Run fires pending timers until none remain or the limit is reached.

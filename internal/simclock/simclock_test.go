@@ -3,7 +3,6 @@ package simclock
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 	"time"
 )
@@ -273,6 +272,61 @@ func TestCancelMiddleOfHeap(t *testing.T) {
 	}
 }
 
+// TestLaneMergesWithHeap pins the merge rule between the same-instant
+// lane and the heap: tasks due now go to the lane, timers with handles
+// stay on the heap, and the two fire in one (at, seq) order — a
+// ScheduleAt or RescheduleAt at the current instant issued after a lane
+// task fires after it, one issued before fires before it.
+func TestLaneMergesWithHeap(t *testing.T) {
+	c := New()
+	c.Advance(time.Second)
+	var order []string
+	rec := func(name string) func(time.Duration) {
+		return func(time.Duration) { order = append(order, name) }
+	}
+	owned := c.NewTimer(rec("reschedule"))
+	c.Schedule(time.Millisecond, rec("later"))
+	c.ScheduleAt(c.Now(), rec("heap-before"))
+	c.ScheduleTask(0, &nameTask{"lane-1", &order})
+	c.ScheduleAt(c.Now(), rec("heap-after"))
+	c.ScheduleTaskAt(0, &nameTask{"lane-2", &order}) // past deadline clamps to now
+	c.RescheduleAt(owned, c.Now())
+	c.ScheduleTask(-time.Second, &nameTask{"lane-3", &order})
+	if len(c.lane)-c.laneHead != 3 || len(c.queue) != 4 {
+		t.Fatalf("lane holds %d, heap %d; want 3 and 4", len(c.lane)-c.laneHead, len(c.queue))
+	}
+	if n := c.PendingTimers(); n != 7 {
+		t.Fatalf("PendingTimers = %d, want 7", n)
+	}
+	if at, ok := c.NextAt(); !ok || at != time.Second {
+		t.Fatalf("NextAt = %v,%v want 1s,true", at, ok)
+	}
+	if !c.Step() || len(order) != 1 || order[0] != "heap-before" {
+		t.Fatalf("first Step fired %v, want [heap-before]", order)
+	}
+	c.AdvanceTo(c.Now())
+	want := []string{"heap-before", "lane-1", "heap-after", "lane-2", "reschedule", "lane-3"}
+	if len(order) != len(want) {
+		t.Fatalf("fired %v, want %v", order, want)
+	}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("fired %v, want %v", order, want)
+		}
+	}
+	if at, ok := c.NextAt(); !ok || at != time.Second+time.Millisecond || c.PendingTimers() != 1 {
+		t.Fatalf("after the instant: NextAt = %v,%v, %d pending; want 1.001s, 1", at, ok, c.PendingTimers())
+	}
+}
+
+// nameTask is a TimerTask that logs its name on firing.
+type nameTask struct {
+	name  string
+	order *[]string
+}
+
+func (n *nameTask) Fire(time.Duration) { *n.order = append(*n.order, n.name) }
+
 // refTimer is the property test's model of one pending timer.
 type refTimer struct {
 	id  int
@@ -280,87 +334,131 @@ type refTimer struct {
 	seq uint64
 }
 
-// recordTask is a TimerTask that logs its id on firing.
-type recordTask struct {
-	id    int
-	fired *[]int
+// refModel is the property test's reference queue: the pending timers,
+// unordered, and the ids fired so far. Every callback checks on firing
+// that it is the (at, seq) minimum of the model, so timers scheduled
+// from inside callbacks are checked as tightly as top-level ones.
+type refModel struct {
+	t       *testing.T
+	c       *Clock
+	rng     *rand.Rand
+	seed    int64
+	op      int
+	pending []refTimer
+	fired   []int
+	nextID  int
+	limit   time.Duration // the running AdvanceTo/Step horizon
+	owned   []*Timer
+	ownedID map[*Timer]int
+	handles map[int]*Timer
 }
 
-func (r *recordTask) Fire(time.Duration) { *r.fired = append(*r.fired, r.id) }
+// add registers a timer about to be scheduled at the (unclamped) at,
+// consuming the clock's next sequence number.
+func (m *refModel) add(at time.Duration) int {
+	at = max(at, m.c.Now())
+	r := refTimer{id: m.nextID, at: at, seq: m.c.seq}
+	m.nextID++
+	m.pending = append(m.pending, r)
+	return r.id
+}
+
+// min returns the slot of the earliest pending timer, or -1.
+func (m *refModel) min() int {
+	best := -1
+	for i, r := range m.pending {
+		if best < 0 || r.at < m.pending[best].at ||
+			r.at == m.pending[best].at && r.seq < m.pending[best].seq {
+			best = i
+		}
+	}
+	return best
+}
+
+// fire is every timer's callback: it checks id against the model's
+// minimum, then sometimes schedules a follow-up — mostly at the same
+// instant, on the lane (ScheduleTask) or the heap (ScheduleAt,
+// RescheduleAt), which must order after every lane task already due.
+func (m *refModel) fire(id int, now time.Duration) {
+	m.t.Helper()
+	i := m.min()
+	if i < 0 || m.pending[i].id != id || m.pending[i].at != now || now > m.limit || m.c.Now() != now {
+		m.t.Fatalf("seed %d op %d: timer %d fired at %v (clock %v, limit %v); reference head %v",
+			m.seed, m.op, id, now, m.c.Now(), m.limit, m.pending[max(i, 0):min(i+1, len(m.pending))])
+	}
+	m.pending = append(m.pending[:i], m.pending[i+1:]...)
+	m.fired = append(m.fired, id)
+	if m.rng.Intn(10) < 4 {
+		m.schedule(now + time.Duration(m.rng.Intn(8)-6)*time.Millisecond)
+	}
+}
+
+// schedule issues one random scheduling call at the (unclamped) at.
+func (m *refModel) schedule(at time.Duration) {
+	switch k := m.rng.Intn(6); {
+	case k < 2:
+		id := m.add(at)
+		m.handles[id] = m.c.ScheduleAt(at, func(now time.Duration) { m.fire(id, now) })
+	case k < 4:
+		id := m.add(at)
+		m.c.ScheduleTaskAt(at, &recordTask{m: m, id: id})
+	case k < 5:
+		id := m.add(at)
+		m.c.ScheduleTask(at-m.c.Now(), &recordTask{m: m, id: id})
+	default:
+		if len(m.owned) < 8 {
+			var tm *Timer
+			tm = m.c.NewTimer(func(now time.Duration) { m.fire(m.ownedID[tm], now) })
+			m.owned = append(m.owned, tm)
+		}
+		tm := m.owned[m.rng.Intn(len(m.owned))]
+		if tm.index >= 0 {
+			return
+		}
+		m.ownedID[tm] = m.add(at)
+		m.c.RescheduleAt(tm, at)
+	}
+}
+
+// recordTask is a TimerTask that reports its firing to the model.
+type recordTask struct {
+	m  *refModel
+	id int
+}
+
+func (r *recordTask) Fire(now time.Duration) { r.m.fire(r.id, now) }
 
 // TestQueueMatchesSortedReference drives random interleavings of
-// ScheduleAt, ScheduleTaskAt, RescheduleAt, Cancel, Step and
-// AdvanceTo, with deadlines on a coarse grid so many timers tie on
-// their instant. The fire order must equal a (at, seq)-sorted
-// reference, and after every operation each queued timer's index must
-// be its slot and the heap order must hold.
+// ScheduleAt, ScheduleTask, ScheduleTaskAt, RescheduleAt, Cancel, Step,
+// Run and AdvanceTo, with deadlines on a coarse grid so many timers tie
+// on their instant and many land on the current one (the lane), and
+// with callbacks that schedule more timers, most at their own instant.
+// Every firing must be the (at, seq) minimum of a reference model, and
+// after every operation NextAt and PendingTimers must agree with the
+// model, each heap timer's index must be its slot, the heap order must
+// hold, and the lane must hold only due tasks in sequence order.
 func TestQueueMatchesSortedReference(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
-		rng := rand.New(rand.NewSource(seed))
 		c := New()
-		var fired []int
-		var pending []refTimer // the reference queue, unordered
-		handles := map[int]*Timer{}
-		var owned []*Timer
-		ownedID := map[*Timer]int{}
-		nextID := 0
-		schedule := func(at time.Duration) refTimer {
-			if at < c.Now() {
-				at = c.Now()
-			}
-			r := refTimer{id: nextID, at: at, seq: c.seq}
-			nextID++
-			pending = append(pending, r)
-			return r
-		}
-		// fireUpTo moves the reference: every pending timer at or before
-		// limit fires, in (at, seq) order; n caps the count (Step).
-		fireUpTo := func(limit time.Duration, n int) []int {
-			sort.Slice(pending, func(i, j int) bool {
-				if pending[i].at != pending[j].at {
-					return pending[i].at < pending[j].at
-				}
-				return pending[i].seq < pending[j].seq
-			})
-			var want []int
-			for len(pending) > 0 && pending[0].at <= limit && len(want) < n {
-				want = append(want, pending[0].id)
-				pending = pending[1:]
-			}
-			return want
-		}
+		m := &refModel{t: t, c: c, rng: rand.New(rand.NewSource(seed)), seed: seed,
+			ownedID: map[*Timer]int{}, handles: map[int]*Timer{}}
 		for op := 0; op < 3000; op++ {
-			at := c.Now() + time.Duration(rng.Intn(40)-5)*time.Millisecond
-			switch k := rng.Intn(10); {
-			case k < 3:
-				r := schedule(at)
-				id := r.id
-				handles[id] = c.ScheduleAt(at, func(time.Duration) { fired = append(fired, id) })
-			case k < 5:
-				r := schedule(at)
-				c.ScheduleTaskAt(at, &recordTask{id: r.id, fired: &fired})
+			m.op = op
+			m.limit = c.Now() // no timer may fire outside Step/Run/AdvanceTo
+			before := len(m.fired)
+			switch k := m.rng.Intn(12); {
 			case k < 6:
-				if len(owned) < 8 {
-					var tm *Timer
-					tm = c.NewTimer(func(time.Duration) { fired = append(fired, ownedID[tm]) })
-					owned = append(owned, tm)
-				}
-				tm := owned[rng.Intn(len(owned))]
-				if tm.index >= 0 {
-					continue
-				}
-				r := schedule(at)
-				ownedID[tm] = r.id
-				c.RescheduleAt(tm, at)
+				m.schedule(c.Now() + time.Duration(m.rng.Intn(40)-5)*time.Millisecond)
+				m.limit = -1
 			case k < 7:
 				var tm *Timer
 				var id int
-				if rng.Intn(2) == 0 && len(owned) > 0 {
-					tm = owned[rng.Intn(len(owned))]
-					id = ownedID[tm]
-				} else if nextID > 0 {
-					id = rng.Intn(nextID)
-					tm = handles[id]
+				if m.rng.Intn(2) == 0 && len(m.owned) > 0 {
+					tm = m.owned[m.rng.Intn(len(m.owned))]
+					id = m.ownedID[tm]
+				} else if m.nextID > 0 {
+					id = m.rng.Intn(m.nextID)
+					tm = m.handles[id]
 				}
 				if tm == nil {
 					continue
@@ -370,50 +468,52 @@ func TestQueueMatchesSortedReference(t *testing.T) {
 					t.Fatalf("seed %d op %d: Cancel = %v, timer pending %v", seed, op, got, wasPending)
 				}
 				if wasPending {
-					for i, r := range pending {
+					for i, r := range m.pending {
 						if r.id == id {
-							pending = append(pending[:i], pending[i+1:]...)
+							m.pending = append(m.pending[:i], m.pending[i+1:]...)
 							break
 						}
 					}
 				}
 			case k < 8:
-				fired = fired[:0]
-				want := fireUpTo(time.Duration(math.MaxInt64), 1)
-				if got := c.Step(); got != (len(want) == 1) {
-					t.Fatalf("seed %d op %d: Step = %v with %d due", seed, op, got, len(want))
+				m.limit = time.Duration(math.MaxInt64)
+				due := len(m.pending) > 0
+				if got := c.Step(); got != due || got != (len(m.fired) == before+1) {
+					t.Fatalf("seed %d op %d: Step = %v (%d fired) with due=%v", seed, op, got, len(m.fired)-before, due)
 				}
-				checkFired(t, seed, op, fired, want)
+			case k < 9:
+				m.limit = time.Duration(math.MaxInt64)
+				n := 1 + m.rng.Intn(4)
+				if got := c.Run(n); got != len(m.fired)-before || got > n || got < n && len(m.pending) > 0 {
+					t.Fatalf("seed %d op %d: Run(%d) = %d, %d fired, %d pending", seed, op, n, got, len(m.fired)-before, len(m.pending))
+				}
 			default:
-				fired = fired[:0]
-				to := c.Now() + time.Duration(rng.Intn(20))*time.Millisecond
-				want := fireUpTo(to, math.MaxInt)
+				to := c.Now() + time.Duration(m.rng.Intn(20))*time.Millisecond
+				m.limit = to
 				c.AdvanceTo(to)
-				checkFired(t, seed, op, fired, want)
+				if i := m.min(); c.Now() != to || i >= 0 && m.pending[i].at <= to {
+					t.Fatalf("seed %d op %d: AdvanceTo(%v) left now=%v with %v due", seed, op, to, c.Now(), m.pending)
+				}
 			}
-			checkHeap(t, seed, op, c, len(pending))
+			if m.limit < 0 && len(m.fired) != before {
+				t.Fatalf("seed %d op %d: scheduling fired a timer synchronously", seed, op)
+			}
+			checkHeap(t, seed, op, c, len(m.pending))
+			at, ok := c.NextAt()
+			if i := m.min(); ok != (i >= 0) || ok && at != m.pending[i].at {
+				t.Fatalf("seed %d op %d: NextAt = %v,%v; reference %v", seed, op, at, ok, m.pending)
+			}
 		}
 	}
 }
 
-func checkFired(t *testing.T, seed int64, op int, got, want []int) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("seed %d op %d: fired %v, want %v", seed, op, got, want)
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("seed %d op %d: fired %v, want %v", seed, op, got, want)
-		}
-	}
-}
-
-// checkHeap asserts the queue's structural invariants: size, every
-// timer's index equal to its slot, and no child earlier than its parent.
+// checkHeap asserts the queues' structural invariants: size (heap plus
+// lane), every heap timer's index equal to its slot, no child earlier
+// than its parent, and a lane of tasks due now in sequence order.
 func checkHeap(t *testing.T, seed int64, op int, c *Clock, n int) {
 	t.Helper()
-	if len(c.queue) != n {
-		t.Fatalf("seed %d op %d: %d timers queued, reference has %d", seed, op, len(c.queue), n)
+	if got := len(c.queue) + len(c.lane) - c.laneHead; got != n || c.PendingTimers() != n {
+		t.Fatalf("seed %d op %d: %d timers queued (PendingTimers %d), reference has %d", seed, op, got, c.PendingTimers(), n)
 	}
 	for i, tm := range c.queue {
 		if tm.index != i {
@@ -421,6 +521,11 @@ func checkHeap(t *testing.T, seed int64, op int, c *Clock, n int) {
 		}
 		if i > 0 && c.queue.less(i, (i-1)/2) {
 			t.Fatalf("seed %d op %d: slot %d precedes its parent", seed, op, i)
+		}
+	}
+	for i, e := range c.lane[c.laneHead:] {
+		if e.at != c.Now() || e.task == nil || i > 0 && e.seq <= c.lane[c.laneHead+i-1].seq {
+			t.Fatalf("seed %d op %d: lane entry %d = %+v at clock %v", seed, op, i, e, c.Now())
 		}
 	}
 }

@@ -319,6 +319,28 @@ func BenchmarkProjectorTrack(b *testing.B) {
 	}
 }
 
+// BenchmarkClockSameInstant is a transparent link's delivery in the
+// clock: a zero-delay ScheduleTask fired by the next AdvanceTo, with 32
+// future timers (physics, camera, operator, retransmission deadlines)
+// pending beside it.
+func BenchmarkClockSameInstant(b *testing.B) {
+	clk := simclock.New()
+	for i := 0; i < 32; i++ {
+		clk.Schedule(time.Hour+time.Duration(i)*time.Millisecond, func(time.Duration) {})
+	}
+	task := nopTask{}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		clk.ScheduleTask(0, task)
+		clk.AdvanceTo(clk.Now() + time.Microsecond)
+	}
+}
+
+type nopTask struct{}
+
+func (nopTask) Fire(time.Duration) {}
+
 // BenchmarkFingerprint digests the run log of one 20 s follow-vehicle
 // drive, the log each hub session fingerprints for its outcome digest.
 func BenchmarkFingerprint(b *testing.B) {
