@@ -58,11 +58,12 @@ race:
 # Multi-tenant hub chaos battery under the race detector: served
 # sessions over real localhost TCP with mid-frame connection kills,
 # lossy-datagram delta resyncs, and concurrent join/leave churn, plus
-# the served wire's group-commit writer (concurrent writers, sticky
-# error at the pending cap) and the station's burst flush. Runs in CI
-# (scripts/ci.sh) after the package race stage.
+# the station's burst flush and the framed stream's group-commit writer
+# under it (concurrent writers, sticky error at the pending cap). Runs
+# in CI (scripts/ci.sh) after the package race stage.
 race-hub:
 	$(GO) test -race -run 'TestHubServe|TestHubChaos|TestHubChurn|TestHubHostileBytes|TestHubWire' -count=1 ./internal/hub
+	$(GO) test -race -run 'TestStream' -count=1 ./internal/transport
 
 # Distributed-campaign battery under the race detector: the campaignd
 # coordinator/worker protocol, the chaos suite (worker kill, coordinator
@@ -89,13 +90,16 @@ race-search:
 # Short fuzz passes over the hostile-input surfaces: the lint
 # suppression parser (runs over every comment in the repo on each
 # `make lint`), the world-view decoder, the transport framing, the
+# framed stream every TCP wire shares (hub, campaignd, teleop), the
 # zero-run checksum (must equal crc32 for any bytes plus a zero run),
 # the endpoint receive path (arbitrary frames must never panic or be
 # silently lost), the spatial-index equivalence property (grid-indexed
 # projection must stay bit-identical to the linear reference scan), the
 # neighbour-list Projector along random walks (every warm answer must
-# equal the linear scan's bits), and the Prometheus exposition writer (arbitrary metric/label names must
-# sanitize into grammar-valid output).
+# equal the linear scan's bits), the Prometheus exposition writer
+# (arbitrary metric/label names must sanitize into grammar-valid
+# output), and campaignd's chunk reassembly, inflate limits and JSON
+# envelope.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzParseAllow -fuzztime=5s ./internal/analysis
 	$(GO) test -run='^$$' -fuzz=FuzzUnmarshalWorldView -fuzztime=5s ./internal/sensors
@@ -107,7 +111,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzExposition -fuzztime=5s ./internal/telemetry
 	$(GO) test -run='^$$' -fuzz=FuzzWireProtocol -fuzztime=5s ./internal/campaignd
 	$(GO) test -run='^$$' -fuzz=FuzzApplyWorldViewDelta -fuzztime=5s ./internal/sensors
-	$(GO) test -run='^$$' -fuzz=FuzzHubWire -fuzztime=5s ./internal/hub
+	$(GO) test -run='^$$' -fuzz=FuzzStream -fuzztime=5s ./internal/transport
 
 # Everything a PR must survive: compile, static checks, determinism
 # lint, race-clean tests, and the short fuzz budget.
@@ -121,17 +125,16 @@ check: build vet lint race fuzz
 ci:
 	./scripts/ci.sh
 
-# Machine-readable benchmark run: every benchmark (substrate
-# microbenches, table/figure reproductions, ablations), five interleaved
-# repetitions, reduced to per-metric medians in $(BENCHOUT) by
-# cmd/benchjson. The raw `go test -bench` text streams to stderr so the
-# run stays observable. The expensive paper campaign behind the table
-# benches runs once per invocation (sync.Once), so -count=5 only
-# repeats the cheap measurement loops.
+# Micro-benchmark diagnostics: every `go test -bench` benchmark in the
+# root package (substrate microbenches, table/figure reproductions,
+# ablations), BENCHCOUNT repetitions, as plain `go test` text. The
+# scoreboard is bench/ (BENCHMARK.json); the BENCH_PR*.json files are
+# frozen history from an earlier median-only reducer. The expensive
+# paper campaign behind the table benches runs once per invocation
+# (sync.Once), so -count only repeats the cheap measurement loops.
 BENCHCOUNT ?= 5
-BENCHOUT ?= BENCH_PR10.json
 bench:
-	$(GO) test -run='^$$' -bench . -benchmem -count $(BENCHCOUNT) . | tee /dev/stderr | $(GO) run ./cmd/benchjson -o $(BENCHOUT)
+	$(GO) test -run='^$$' -bench . -benchmem -count $(BENCHCOUNT) .
 
 # Refactor safety net: drive every canonical cell and diff its SHA-256
 # trace fingerprint against the golden set recorded before the

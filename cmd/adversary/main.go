@@ -24,6 +24,7 @@ import (
 	"os"
 
 	"teledrive/internal/driver"
+	"teledrive/internal/opsflags"
 	"teledrive/internal/search"
 	"teledrive/internal/telemetry"
 )
@@ -48,9 +49,9 @@ func run(args []string, stdout io.Writer) error {
 		workers     = fs.Int("workers", 0, "parallel simulation workers (0 = all CPUs, 1 = sequential); results are identical for any value")
 		journalPath = fs.String("journal", "", "append every evaluated cell to this JSONL file and resume from it")
 		out         = fs.String("out", "", "write the report to this file instead of stdout")
-		telemAddr   = fs.String("telemetry-addr", "", "serve /metrics, /healthz and /debug/pprof on this address; empty = off")
-		progress    = fs.Bool("progress", true, "print a per-generation progress line on stderr")
-		strict      = fs.Bool("strict", false, "exit nonzero when any cell's fault injection failed (invalid test executions)")
+		ops         = opsflags.Register(fs, "adversary").
+				WithProgress("print a per-generation progress line on stderr").
+				WithStrict()
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -77,14 +78,10 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	reg := telemetry.NewRegistry()
-	ops, err := telemetry.Serve(*telemAddr, reg)
-	if err != nil {
+	if err := ops.Serve(reg); err != nil {
 		return err
 	}
-	if ops != nil {
-		defer ops.Close()
-		fmt.Fprintf(os.Stderr, "telemetry: serving /metrics on http://%s/metrics\n", ops.Addr())
-	}
+	defer ops.Close()
 
 	opts := search.Options{
 		Space:       space,
@@ -97,7 +94,7 @@ func run(args []string, stdout io.Writer) error {
 		Label:       "sim/" + prof.Name,
 		Metrics:     reg,
 	}
-	if *progress {
+	if ops.Progress() {
 		opts.OnGeneration = func(g search.GenStats) {
 			fmt.Fprintf(os.Stderr, "adversary: gen %d/%d: %d evaluated, %d cached, %d accepted, best %.3f (best so far %.3f)\n",
 				g.Gen+1, *generations, g.Evaluated, g.CachedCells, g.Accepted, g.Best, g.BestSoFar)
@@ -133,24 +130,9 @@ func run(args []string, stdout io.Writer) error {
 	if err := search.WriteReport(dst, rep); err != nil {
 		return err
 	}
-	return checkStrict(rep, *strict)
-}
-
-// checkStrict enforces -strict, mirroring cmd/campaign: a cell whose
-// fault injection was refused never experienced its perturbed network
-// condition — an invalid test execution that always warns and, with
-// -strict, fails the run.
-func checkStrict(rep *search.Report, strict bool) error {
 	failed := 0
 	for _, c := range rep.Cells {
 		failed += c.Signals.FailedInjections
 	}
-	if failed == 0 {
-		return nil
-	}
-	if strict {
-		return fmt.Errorf("%d fault injection(s) failed (-strict)", failed)
-	}
-	fmt.Fprintf(os.Stderr, "adversary: warning: %d fault injection(s) failed; rerun with -strict to make this fatal\n", failed)
-	return nil
+	return ops.CheckStrict(failed)
 }

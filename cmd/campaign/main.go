@@ -29,6 +29,7 @@ import (
 
 	"teledrive/internal/campaign"
 	"teledrive/internal/campaignd"
+	"teledrive/internal/opsflags"
 	"teledrive/internal/rds"
 	"teledrive/internal/report"
 	"teledrive/internal/telemetry"
@@ -56,11 +57,11 @@ func run(args []string) error {
 		csvDir    = fs.String("csv", "", "export per-run CSV logs to this directory")
 		noExclude = fs.Bool("no-exclusions", false, "keep T7 and skip the paper's missing-data masks")
 		workers   = fs.Int("workers", 0, "parallel simulation workers (0 = all CPUs, 1 = sequential); results are identical for any value")
-		telemAddr = fs.String("telemetry-addr", "", "serve /metrics, /healthz and /debug/pprof on this address (e.g. localhost:9090); empty = off")
-		progress  = fs.Bool("progress", true, "repaint a live progress line (cells done/total, elapsed, ETA) on stderr")
-		strict    = fs.Bool("strict", false, "exit nonzero when any fault injection failed (invalid test executions under the paper's protocol)")
 		connect   = fs.String("connect", "", "run as a campaignd worker: dial the coordinator at this address instead of running a local campaign")
 		workerID  = fs.String("worker-id", "", "worker name in coordinator telemetry and journal (with -connect); default worker-<pid>")
+		ops       = opsflags.Register(fs, "campaign").
+				WithProgress("repaint a live progress line (cells done/total, elapsed, ETA) on stderr").
+				WithStrict()
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -75,14 +76,10 @@ func run(args []string) error {
 	// aggregate into it, the ops server exposes it, and the progress
 	// line reads it.
 	reg := telemetry.NewRegistry()
-	ops, err := telemetry.Serve(*telemAddr, reg)
-	if err != nil {
+	if err := ops.Serve(reg); err != nil {
 		return err
 	}
-	if ops != nil {
-		defer ops.Close()
-		fmt.Fprintf(os.Stderr, "telemetry: serving /metrics on http://%s/metrics\n", ops.Addr())
-	}
+	defer ops.Close()
 
 	if *connect != "" {
 		return runWorker(reg, *connect, *workerID, *workers)
@@ -99,10 +96,7 @@ func run(args []string) error {
 
 	fmt.Printf("running campaign: seed=%d plan=%s training=%v workers=%d ...\n", *seed, *plan, *training, *workers)
 	ins := campaign.NewInstruments(reg)
-	stopProgress := func() {}
-	if *progress {
-		stopProgress = telemetry.StartProgress(os.Stderr, "cells", ins.CellsPlanned.Value, ins.Done)
-	}
+	stopProgress := ops.StartProgress("cells", ins.CellsPlanned.Value, ins.Done)
 	res, err := campaign.Run(campaign.Config{
 		Seed:                 *seed,
 		Plan:                 mode,
@@ -138,24 +132,7 @@ func run(args []string) error {
 		}
 		fmt.Printf("wrote HTML dashboard to %s\n", *htmlOut)
 	}
-	return checkStrict(res, *strict)
-}
-
-// checkStrict enforces -strict: failed fault injections mean some cells
-// never experienced their assigned network conditions — invalid test
-// executions under the paper's protocol. They always warn; with -strict
-// they fail the run (historically campaign exited 0 regardless, hiding
-// them from CI).
-func checkStrict(res *campaign.Result, strict bool) error {
-	failed := res.TotalFailedInjections()
-	if failed == 0 {
-		return nil
-	}
-	if strict {
-		return fmt.Errorf("%d fault injection(s) failed (-strict)", failed)
-	}
-	fmt.Fprintf(os.Stderr, "campaign: warning: %d fault injection(s) failed; rerun with -strict to make this fatal\n", failed)
-	return nil
+	return ops.CheckStrict(res.TotalFailedInjections())
 }
 
 // runWorker is the -connect mode: one campaignd worker process.

@@ -1,11 +1,13 @@
 package main
 
 import (
+	"flag"
 	"strings"
 	"testing"
 
 	"teledrive/internal/campaign"
 	"teledrive/internal/core"
+	"teledrive/internal/opsflags"
 	"teledrive/internal/rds"
 	"teledrive/internal/trace"
 )
@@ -49,6 +51,17 @@ func resultWithFailedInjections(n int) *campaign.Result {
 	}
 }
 
+// strictFlags registers campaign's ops flags and parses args.
+func strictFlags(t *testing.T, args ...string) *opsflags.Flags {
+	t.Helper()
+	fs := flag.NewFlagSet("campaign", flag.ContinueOnError)
+	ops := opsflags.Register(fs, "campaign").WithStrict()
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	return ops
+}
+
 // TestStrictFailsOnFailedInjections is the regression test for the
 // historical bug: campaign exited 0 even when fault injections failed,
 // so CI never saw invalid test executions. -strict must turn them into
@@ -59,7 +72,7 @@ func TestStrictFailsOnFailedInjections(t *testing.T) {
 		t.Fatalf("TotalFailedInjections = %d, want 3", got)
 	}
 
-	err := checkStrict(res, true)
+	err := strictFlags(t, "-strict").CheckStrict(res.TotalFailedInjections())
 	if err == nil {
 		t.Fatal("-strict must fail when injections failed")
 	}
@@ -69,13 +82,13 @@ func TestStrictFailsOnFailedInjections(t *testing.T) {
 
 	// Without -strict the legacy exit-0 behavior is preserved (plus a
 	// stderr warning, not asserted here).
-	if err := checkStrict(res, false); err != nil {
+	if err := strictFlags(t).CheckStrict(res.TotalFailedInjections()); err != nil {
 		t.Fatalf("non-strict mode must not fail: %v", err)
 	}
 }
 
 func TestStrictPassesOnCleanCampaign(t *testing.T) {
-	if err := checkStrict(resultWithFailedInjections(0), true); err != nil {
+	if err := strictFlags(t, "-strict").CheckStrict(resultWithFailedInjections(0).TotalFailedInjections()); err != nil {
 		t.Fatalf("clean campaign must pass -strict: %v", err)
 	}
 }

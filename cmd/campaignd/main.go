@@ -35,6 +35,7 @@ import (
 	"time"
 
 	"teledrive/internal/campaignd"
+	"teledrive/internal/opsflags"
 	"teledrive/internal/report"
 	"teledrive/internal/telemetry"
 )
@@ -60,11 +61,11 @@ func run(args []string) error {
 		leaseTimeout = fs.Duration("lease-timeout", campaignd.DefaultLeaseTimeout, "re-queue a leased cell after this long without a result or heartbeat")
 		maxRetries   = fs.Int("max-retries", campaignd.DefaultMaxRetries, "abort the campaign once one cell has been re-queued this often")
 		workerTO     = fs.Duration("worker-timeout", campaignd.DefaultWorkerTimeout, "disconnect a worker whose connection goes silent")
-		strict       = fs.Bool("strict", false, "exit nonzero when any fault injection failed")
 		fig4Sub      = fs.String("fig4-subject", "auto", "subject for the Fig 4 profile (auto = largest task-time inflation)")
 		fig4Scn      = fs.Int("fig4-scenario", 1, "scenario index for Fig 4 (0=follow, 1=slalom, 2=overtake)")
-		telemAddr    = fs.String("telemetry-addr", "", "serve /metrics, /healthz and /debug/pprof on this address; empty = off")
-		progress     = fs.Bool("progress", true, "repaint a live progress line (cells done/total, elapsed, ETA) on stderr")
+		ops          = opsflags.Register(fs, "campaignd").
+				WithProgress("repaint a live progress line (cells done/total, elapsed, ETA) on stderr").
+				WithStrict()
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -86,14 +87,10 @@ func run(args []string) error {
 	}
 
 	reg := telemetry.NewRegistry()
-	ops, err := telemetry.Serve(*telemAddr, reg)
-	if err != nil {
+	if err := ops.Serve(reg); err != nil {
 		return err
 	}
-	if ops != nil {
-		defer ops.Close()
-		fmt.Fprintf(os.Stderr, "telemetry: serving /metrics on http://%s/metrics\n", ops.Addr())
-	}
+	defer ops.Close()
 
 	coord := &campaignd.Coordinator{
 		Spec:          spec,
@@ -122,11 +119,11 @@ func run(args []string) error {
 	}()
 
 	stopProgress := func() {}
-	if *progress {
+	if ops.Progress() {
 		cells := reg.CounterVec("campaignd_cells_total",
 			"Coordinator cells by lifecycle event (planned/restored/done/requeued/duplicate/errored).", "event")
 		planned, restored, done := cells.With("planned"), cells.With("restored"), cells.With("done")
-		stopProgress = telemetry.StartProgress(os.Stderr, "cells",
+		stopProgress = ops.StartProgress("cells",
 			planned.Value,
 			func() uint64 { return restored.Value() + done.Value() })
 	}
@@ -139,11 +136,5 @@ func run(args []string) error {
 
 	report.WriteCampaignReport(os.Stdout, res, *fig4Sub, *fig4Scn)
 
-	if failed := res.TotalFailedInjections(); failed > 0 {
-		if *strict {
-			return fmt.Errorf("%d fault injection(s) failed (-strict)", failed)
-		}
-		fmt.Fprintf(os.Stderr, "campaignd: warning: %d fault injection(s) failed; rerun with -strict to make this fatal\n", failed)
-	}
-	return nil
+	return ops.CheckStrict(res.TotalFailedInjections())
 }

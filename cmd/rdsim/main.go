@@ -18,6 +18,7 @@ import (
 	"teledrive/internal/core"
 	"teledrive/internal/driver"
 	"teledrive/internal/faultinject"
+	"teledrive/internal/opsflags"
 	"teledrive/internal/scenario"
 	"teledrive/internal/telemetry"
 	"teledrive/internal/trace"
@@ -38,7 +39,7 @@ func run(args []string) error {
 		fault     = fs.String("fault", "NFI", "fault condition at every POI: NFI, 5ms, 25ms, 50ms, 2%, 5%")
 		seed      = fs.Int64("seed", 1, "run seed")
 		jsonOut   = fs.String("json", "", "write the run log as JSON to this file")
-		telemAddr = fs.String("telemetry-addr", "", "serve /metrics, /healthz and /debug/pprof on this address (e.g. localhost:9090); empty = off")
+		ops       = opsflags.Register(fs, "rdsim")
 		eventsOut = fs.String("telemetry-events", "", "append the run's sparse structured events (phases, faults, collisions) as JSONL to this file")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -75,17 +76,13 @@ func run(args []string) error {
 	}
 
 	spec := core.RunSpec{Scenario: scn, Profile: prof, Seed: *seed, Faults: faults}
-	if *telemAddr != "" || *eventsOut != "" {
+	if ops.Serving() || *eventsOut != "" {
 		spec.Metrics = telemetry.NewRegistry()
 	}
-	ops, err := telemetry.Serve(*telemAddr, spec.Metrics)
-	if err != nil {
+	if err := ops.Serve(spec.Metrics); err != nil {
 		return err
 	}
-	if ops != nil {
-		defer ops.Close()
-		fmt.Fprintf(os.Stderr, "telemetry: serving /metrics on http://%s/metrics\n", ops.Addr())
-	}
+	defer ops.Close()
 	if *eventsOut != "" {
 		f, err := os.OpenFile(*eventsOut, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {

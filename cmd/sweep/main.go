@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"teledrive/internal/driver"
+	"teledrive/internal/opsflags"
 	"teledrive/internal/telemetry"
 	"teledrive/internal/validity"
 )
@@ -31,14 +32,14 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
 	var (
-		envName   = fs.String("env", "both", "environment: simulator, model, both")
-		subject   = fs.String("subject", "T5", "operator profile for the simulator")
-		seed      = fs.Int64("seed", 2024, "sweep seed")
-		grid      = fs.Bool("grid", false, "run the combined delay x loss grid (future-work extension)")
-		workers   = fs.Int("workers", 0, "parallel sweep-point workers (0 = all CPUs, 1 = sequential); results are identical for any value")
-		telemAddr = fs.String("telemetry-addr", "", "serve /metrics, /healthz and /debug/pprof on this address (e.g. localhost:9090); empty = off")
-		progress  = fs.Bool("progress", true, "repaint a live progress line (points done/total, elapsed, ETA) on stderr")
-		strict    = fs.Bool("strict", false, "exit nonzero when any sweep point's fault injection failed (invalid test executions)")
+		envName = fs.String("env", "both", "environment: simulator, model, both")
+		subject = fs.String("subject", "T5", "operator profile for the simulator")
+		seed    = fs.Int64("seed", 2024, "sweep seed")
+		grid    = fs.Bool("grid", false, "run the combined delay x loss grid (future-work extension)")
+		workers = fs.Int("workers", 0, "parallel sweep-point workers (0 = all CPUs, 1 = sequential); results are identical for any value")
+		ops     = opsflags.Register(fs, "sweep").
+			WithProgress("repaint a live progress line (points done/total, elapsed, ETA) on stderr").
+			WithStrict()
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -63,14 +64,10 @@ func run(args []string) error {
 	// One registry spans every environment in the sweep; per-env progress
 	// counters are summed for the overall line.
 	reg := telemetry.NewRegistry()
-	ops, err := telemetry.Serve(*telemAddr, reg)
-	if err != nil {
+	if err := ops.Serve(reg); err != nil {
 		return err
 	}
-	if ops != nil {
-		defer ops.Close()
-		fmt.Fprintf(os.Stderr, "telemetry: serving /metrics on http://%s/metrics\n", ops.Addr())
-	}
+	defer ops.Close()
 	var planned, done []*telemetry.Counter
 	for i := range envs {
 		envs[i].Metrics = reg
@@ -87,11 +84,7 @@ func run(args []string) error {
 			return t
 		}
 	}
-	stopProgress := func() {}
-	if *progress {
-		stopProgress = telemetry.StartProgress(os.Stderr, "points", sum(planned), sum(done))
-	}
-	defer stopProgress()
+	defer ops.StartProgress("points", sum(planned), sum(done))()
 
 	failed := 0
 	for _, env := range envs {
@@ -106,22 +99,7 @@ func run(args []string) error {
 		}
 		failed += n
 	}
-	return checkStrict(failed, *strict)
-}
-
-// checkStrict enforces -strict, mirroring cmd/campaign: a sweep point
-// whose fault injection was refused never experienced its nominal
-// magnitude, so its grade is an invalid test execution. Such points
-// always warn; with -strict they fail the sweep.
-func checkStrict(failed int, strict bool) error {
-	if failed == 0 {
-		return nil
-	}
-	if strict {
-		return fmt.Errorf("%d fault injection(s) failed (-strict)", failed)
-	}
-	fmt.Fprintf(os.Stderr, "sweep: warning: %d fault injection(s) failed; rerun with -strict to make this fatal\n", failed)
-	return nil
+	return ops.CheckStrict(failed)
 }
 
 func runLadders(env validity.Env, seed int64, workers int) (int, error) {

@@ -1,9 +1,11 @@
 package main
 
 import (
+	"flag"
 	"strings"
 	"testing"
 
+	"teledrive/internal/opsflags"
 	"teledrive/internal/validity"
 )
 
@@ -21,17 +23,25 @@ func TestRunErrors(t *testing.T) {
 // must exit nonzero under -strict and keep the legacy exit-0 (warn
 // only) behavior without it.
 func TestStrictFailsOnFailedInjections(t *testing.T) {
-	err := checkStrict(3, true)
+	flags := func(args ...string) *opsflags.Flags {
+		fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
+		ops := opsflags.Register(fs, "sweep").WithStrict()
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		return ops
+	}
+	err := flags("-strict").CheckStrict(3)
 	if err == nil {
 		t.Fatal("-strict must fail when injections failed")
 	}
 	if !strings.Contains(err.Error(), "3 fault injection(s) failed") {
 		t.Fatalf("unhelpful -strict error: %v", err)
 	}
-	if err := checkStrict(3, false); err != nil {
+	if err := flags().CheckStrict(3); err != nil {
 		t.Fatalf("non-strict mode must not fail: %v", err)
 	}
-	if err := checkStrict(0, true); err != nil {
+	if err := flags("-strict").CheckStrict(0); err != nil {
 		t.Fatalf("clean sweep must pass -strict: %v", err)
 	}
 }

@@ -24,10 +24,8 @@
 package main
 
 import (
-	"encoding/binary"
 	"flag"
 	"fmt"
-	"io"
 	"math/rand"
 	"net"
 	"os"
@@ -37,11 +35,13 @@ import (
 	"teledrive/internal/driver"
 	"teledrive/internal/geom"
 	"teledrive/internal/netem"
+	"teledrive/internal/opsflags"
 	"teledrive/internal/scenario"
 	"teledrive/internal/sensors"
 	"teledrive/internal/session"
 	"teledrive/internal/simclock"
 	"teledrive/internal/telemetry"
+	"teledrive/internal/transport"
 	"teledrive/internal/vehicle"
 	"teledrive/internal/world"
 )
@@ -56,17 +56,17 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("teleop", flag.ContinueOnError)
 	var (
-		duration  = fs.Duration("duration", 30*time.Second, "how long to drive")
-		subject   = fs.String("subject", "T5", "driver profile at the station")
-		delay     = fs.Duration("delay", 0, "one-way injected message delay")
-		drop      = fs.Float64("drop", 0, "message drop probability [0,1)")
-		addr      = fs.String("addr", "127.0.0.1:0", "TCP listen address")
-		telemAddr = fs.String("telemetry-addr", "", "serve /metrics, /healthz and /debug/pprof on this address (e.g. localhost:9090); empty = off")
-		connect   = fs.String("connect", "", "dial a teleopd hub at this address instead of hosting a local vehicle")
-		scnName   = fs.String("scenario", "follow-vehicle", "hub scenario to join (-connect mode)")
-		sessName  = fs.String("session", "", "session label in hub telemetry (-connect mode; empty = scenario name)")
-		seed      = fs.Int64("seed", 42, "session network seed (-connect mode)")
-		delta     = fs.Bool("delta", false, "request keyframe+diff world-view streaming (-connect mode)")
+		duration = fs.Duration("duration", 30*time.Second, "how long to drive")
+		subject  = fs.String("subject", "T5", "driver profile at the station")
+		delay    = fs.Duration("delay", 0, "one-way injected message delay")
+		drop     = fs.Float64("drop", 0, "message drop probability [0,1)")
+		addr     = fs.String("addr", "127.0.0.1:0", "TCP listen address")
+		ops      = opsflags.Register(fs, "teleop")
+		connect  = fs.String("connect", "", "dial a teleopd hub at this address instead of hosting a local vehicle")
+		scnName  = fs.String("scenario", "follow-vehicle", "hub scenario to join (-connect mode)")
+		sessName = fs.String("session", "", "session label in hub telemetry (-connect mode; empty = scenario name)")
+		seed     = fs.Int64("seed", 42, "session network seed (-connect mode)")
+		delta    = fs.Bool("delta", false, "request keyframe+diff world-view streaming (-connect mode)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -86,14 +86,12 @@ func run(args []string) error {
 
 	// Live-demo telemetry: the egress shims count messages per role.
 	var vehEgress, staEgress shimInstruments
-	if *telemAddr != "" {
+	if ops.Serving() {
 		reg := telemetry.NewRegistry()
-		ops, err := telemetry.Serve(*telemAddr, reg)
-		if err != nil {
+		if err := ops.Serve(reg); err != nil {
 			return err
 		}
 		defer ops.Close()
-		fmt.Fprintf(os.Stderr, "telemetry: serving /metrics on http://%s/metrics\n", ops.Addr())
 		msgs := reg.CounterVec("teledrive_teleop_messages_total",
 			"Messages at the TCP egress shim, by role and outcome.", "role", "event")
 		vehEgress = shimInstruments{sent: msgs.With("vehicle", "sent"), dropped: msgs.With("vehicle", "dropped")}
@@ -129,34 +127,7 @@ func run(args []string) error {
 	return nil
 }
 
-// message framing over TCP: type(1) length(4) payload.
-func writeMsg(w io.Writer, typ byte, payload []byte) error {
-	hdr := make([]byte, 5)
-	hdr[0] = typ
-	binary.BigEndian.PutUint32(hdr[1:], uint32(len(payload)))
-	if _, err := w.Write(hdr); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
-}
-
-func readMsg(r io.Reader) (byte, []byte, error) {
-	hdr := make([]byte, 5)
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return 0, nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[1:])
-	if n > 1<<24 {
-		return 0, nil, fmt.Errorf("oversized message (%d bytes)", n)
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, err
-	}
-	return hdr[0], payload, nil
-}
-
+// Message tags on the transport framed stream between the two halves.
 const (
 	msgFrame   = 1
 	msgControl = 2
@@ -168,8 +139,8 @@ const (
 // (Faults returns nil) — impairments are applied at the egress
 // instead.
 type shim struct {
-	mu    sync.Mutex
-	conn  net.Conn
+	mu    sync.Mutex // guards rng
+	sw    *transport.StreamWriter
 	delay time.Duration
 	drop  float64
 	rng   *rand.Rand
@@ -209,9 +180,8 @@ func (s *shim) send(typ byte, payload []byte) {
 		s.ins.sent.Inc()
 	}
 	deliver := func() {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		_ = writeMsg(s.conn, typ, payload)
+		//lint:allow errswallow a dead connection ends the demo through its read loop and deadline
+		_ = s.sw.WriteMsg(0, typ, payload)
 	}
 	if s.delay > 0 {
 		time.AfterFunc(s.delay, deliver)
@@ -238,18 +208,20 @@ func serveVehicle(ln net.Listener, duration, delay time.Duration, drop float64, 
 	built.World.OnCollision = func(world.CollisionEvent) { collisions++ }
 	cam := sensors.NewCamera(built.World, built.Ego)
 	cam.VideoFrameBytes = 0 // keep the live demo light
-	out := &shim{conn: conn, delay: delay, drop: drop, rng: rand.New(rand.NewSource(1)), ins: egress}
+	out := &shim{sw: transport.NewStreamWriter(conn), delay: delay, drop: drop, rng: rand.New(rand.NewSource(1)), ins: egress}
 
 	// Incoming controls.
 	var ctrlMu sync.Mutex
 	ctrl := vehicle.Control{}
 	go func() {
+		sr := transport.NewStreamReader(conn)
 		for {
-			typ, payload, err := readMsg(conn)
+			m, err := sr.ReadMsg()
 			if err != nil {
 				return
 			}
-			if typ != msgControl || len(payload) != 25 {
+			payload := m.Body
+			if m.Tag != msgControl || len(payload) != 25 {
 				continue
 			}
 			c := vehicle.Control{
@@ -305,7 +277,7 @@ func runStation(addr string, prof driver.Profile, duration, delay time.Duration,
 	if err != nil {
 		return err
 	}
-	out := &shim{conn: conn, delay: delay, drop: drop, rng: rand.New(rand.NewSource(2)), ins: egress}
+	out := &shim{sw: transport.NewStreamWriter(conn), delay: delay, drop: drop, rng: rand.New(rand.NewSource(2)), ins: egress}
 
 	// Live perception: latest frame + its arrival wall-time.
 	type display struct {
@@ -317,15 +289,16 @@ func runStation(addr string, prof driver.Profile, duration, delay time.Duration,
 	disp := display{}
 	start := time.Now()
 	go func() {
+		sr := transport.NewStreamReader(conn)
 		for {
-			typ, payload, err := readMsg(conn)
+			m, err := sr.ReadMsg()
 			if err != nil {
 				return
 			}
-			if typ != msgFrame {
+			if m.Tag != msgFrame {
 				continue
 			}
-			view, err := sensors.UnmarshalWorldView(payload)
+			view, err := sensors.UnmarshalWorldView(m.Body)
 			if err != nil {
 				continue
 			}

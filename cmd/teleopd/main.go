@@ -21,6 +21,7 @@ import (
 	"syscall"
 
 	"teledrive/internal/hub"
+	"teledrive/internal/opsflags"
 	"teledrive/internal/telemetry"
 )
 
@@ -34,24 +35,22 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("teleopd", flag.ContinueOnError)
 	var (
-		addr      = fs.String("addr", "127.0.0.1:7340", "TCP listen address for stations")
-		turbo     = fs.Bool("turbo", false, "advance sessions as fast as possible instead of pacing to real time (batch/testing)")
-		workers   = fs.Int("workers", 0, "run-arena pool bound (0 = GOMAXPROCS)")
-		telemAddr = fs.String("telemetry-addr", "", "serve /metrics, /healthz and /debug/pprof on this address; empty = off")
+		addr    = fs.String("addr", "127.0.0.1:7340", "TCP listen address for stations")
+		turbo   = fs.Bool("turbo", false, "advance sessions as fast as possible instead of pacing to real time (batch/testing)")
+		workers = fs.Int("workers", 0, "run-arena pool bound (0 = GOMAXPROCS)")
+		ops     = opsflags.Register(fs, "teleopd")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
 	cfg := hub.Config{Workers: *workers, Turbo: *turbo}
-	if *telemAddr != "" {
+	if ops.Serving() {
 		reg := telemetry.NewRegistry()
-		ops, err := telemetry.Serve(*telemAddr, reg)
-		if err != nil {
+		if err := ops.Serve(reg); err != nil {
 			return err
 		}
 		defer ops.Close()
-		fmt.Fprintf(os.Stderr, "telemetry: serving /metrics on http://%s/metrics\n", ops.Addr())
 		cfg.Metrics = reg
 	}
 

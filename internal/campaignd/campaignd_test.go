@@ -1,7 +1,6 @@
 package campaignd
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -15,6 +14,7 @@ import (
 	"time"
 
 	"teledrive/internal/telemetry"
+	"teledrive/internal/transport"
 )
 
 var update = flag.Bool("update", false, "rewrite the distributed-equivalence golden")
@@ -200,7 +200,7 @@ func TestProtocolErrorsCountedAndConnClosed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := newWireWriter(wrong).writeMsg(&msg{T: msgResult, Cell: 0}); err != nil {
+	if err := newSender(wrong).send(&msg{T: msgResult, Cell: 0}); err != nil {
 		t.Fatal(err)
 	}
 	assertConnClosed(t, wrong)
@@ -281,10 +281,10 @@ func TestWorkerRejectsDigestMismatch(t *testing.T) {
 					return
 				}
 				defer conn.Close()
-				if _, err := readMsg(bufio.NewReader(conn)); err != nil {
+				if _, err := readMsg(transport.NewStreamReader(conn)); err != nil {
 					return // expected a hello
 				}
-				_ = newWireWriter(conn).writeMsg(&tc.plan)
+				_ = newSender(conn).send(&tc.plan)
 				// Hold the connection open; the worker must walk away.
 				buf := make([]byte, 1)
 				_, _ = conn.Read(buf)

@@ -1,7 +1,6 @@
 package campaignd
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -10,6 +9,7 @@ import (
 	"teledrive/internal/campaign"
 	"teledrive/internal/core"
 	"teledrive/internal/telemetry"
+	"teledrive/internal/transport"
 )
 
 // Defaults for the coordinator's fault-tolerance knobs.
@@ -96,7 +96,7 @@ type workerConn struct {
 	name     string // worker-reported id (telemetry label)
 	capacity int
 	conn     net.Conn
-	ww       *wireWriter
+	out      *sender
 	leases   map[int]bool
 
 	cellsCtr *telemetry.Counter
@@ -196,7 +196,7 @@ func (c *Coordinator) Run(stop <-chan struct{}, ln net.Listener) (*campaign.Resu
 			if !ok {
 				return nil
 			}
-			if err := wc.ww.writeMsg(&msg{T: msgLease, Cell: cell}); err != nil {
+			if err := wc.out.send(&msg{T: msgLease, Cell: cell}); err != nil {
 				c.logf("campaignd: lease write to %s failed: %v", wc.name, err)
 				return disconnect(wc)
 			}
@@ -243,7 +243,7 @@ func (c *Coordinator) Run(stop <-chan struct{}, ln net.Listener) (*campaign.Resu
 
 		case ev := <-events:
 			if ev.m == nil { // connection lost
-				if errors.Is(ev.err, ErrProtocol) {
+				if errors.Is(ev.err, transport.ErrProtocol) {
 					ins.protocolError()
 					c.logf("campaignd: protocol error from %s: %v", ev.wc.name, ev.err)
 				}
@@ -330,7 +330,7 @@ func (c *Coordinator) Run(stop <-chan struct{}, ln net.Listener) (*campaign.Resu
 				if tr.done() {
 					for _, wc := range workers {
 						//lint:allow errswallow best-effort farewell: the campaign result is already assembled and the conn closes next line either way
-						_ = wc.ww.writeMsg(&msg{T: msgDone})
+						_ = wc.out.send(&msg{T: msgDone})
 						wc.conn.Close()
 					}
 					return c.assembleResult(plan, j, started)
@@ -396,14 +396,14 @@ func (c *Coordinator) scanEvery() time.Duration {
 // event loop, then hands the connection to it and keeps reading
 // messages into the event channel until the connection dies.
 func (c *Coordinator) handshake(conn net.Conn, seq int, planMsg *msg, ins *coordInstruments, events chan<- coordEvent, loopDone <-chan struct{}) {
-	br := bufio.NewReader(conn)
+	sr := transport.NewStreamReader(conn)
 	_ = conn.SetReadDeadline(nowWall().Add(c.workerTimeout()))
-	hello, err := readMsg(br)
+	hello, err := readMsg(sr)
 	if err != nil || hello.T != msgHello {
 		if err == nil {
-			err = protocolErrf("expected hello, got %q", hello.T)
+			err = transport.ProtocolErrorf("expected hello, got %q", hello.T)
 		}
-		if errors.Is(err, ErrProtocol) {
+		if errors.Is(err, transport.ErrProtocol) {
 			ins.protocolError()
 			c.logf("campaignd: bad handshake from %s: %v", conn.RemoteAddr(), err)
 		}
@@ -415,7 +415,7 @@ func (c *Coordinator) handshake(conn net.Conn, seq int, planMsg *msg, ins *coord
 		name:     hello.Worker,
 		capacity: hello.Capacity,
 		conn:     conn,
-		ww:       newWireWriter(conn),
+		out:      newSender(conn),
 		leases:   make(map[int]bool),
 	}
 	if wc.name == "" {
@@ -424,7 +424,7 @@ func (c *Coordinator) handshake(conn net.Conn, seq int, planMsg *msg, ins *coord
 	if wc.capacity <= 0 {
 		wc.capacity = 1
 	}
-	if err := wc.ww.writeMsg(planMsg); err != nil {
+	if err := wc.out.send(planMsg); err != nil {
 		conn.Close()
 		return
 	}
@@ -437,7 +437,7 @@ func (c *Coordinator) handshake(conn net.Conn, seq int, planMsg *msg, ins *coord
 	}
 	for {
 		_ = conn.SetReadDeadline(nowWall().Add(c.workerTimeout()))
-		m, err := readMsg(br)
+		m, err := readMsg(sr)
 		if err != nil {
 			select {
 			case events <- coordEvent{wc: wc, err: err}:

@@ -1,31 +1,40 @@
 package campaignd
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
 	"io"
 	"strings"
 	"testing"
+
+	"teledrive/internal/transport"
 )
 
-// FuzzWireProtocol throws arbitrary bytes at the coordinator's frame
-// decoder. The invariant is the one the coordinator's connection
-// handler relies on: readMsg never panics, never spins, and every
-// failure is either a clean io.EOF (end of stream at a message
-// boundary) or an ErrProtocol the caller counts on
-// campaignd_protocol_errors_total before closing the connection.
+// FuzzWireProtocol throws arbitrary chunk sequences at the
+// coordinator's message decoder: the input is read as records of
+// flags(1) len(1) body, each framed as one stream message, so the
+// fuzzer spends its time on what campaignd adds to the framed stream
+// (chunk reassembly, inflate limits, JSON) rather than on CRCs;
+// FuzzStream in transport covers the framing. The invariant is the one
+// the coordinator's connection handler relies on: readMsg never
+// panics, never spins, and every failure is either a clean io.EOF
+// (end of stream at a message boundary) or a transport.ErrProtocol the
+// caller counts on campaignd_protocol_errors_total before closing the
+// connection.
 func FuzzWireProtocol(f *testing.F) {
 	// Seed with valid traffic so the fuzzer starts near the interesting
-	// surface: every message type, a compressed body, a chunked body.
+	// surface: every message type, a compressed body, chunked bodies.
 	encode := func(m *msg) []byte {
 		var buf bytes.Buffer
-		if err := newWireWriter(&buf).writeMsg(m); err != nil {
+		if err := newSender(&buf).send(m); err != nil {
 			f.Fatal(err)
 		}
-		return buf.Bytes()
+		return records(buf.Bytes())
 	}
+	hello := []byte(`{"t":"hello","worker":"w1","capacity":4,"cell":0}`)
+	bigResult := encode(&msg{T: msgResult, Cell: 2,
+		Outcome: []byte(`{"blob":"` + strings.Repeat("x", 64<<10) + `"}`)})
 	seeds := [][]byte{
 		encode(&msg{T: msgHello, Worker: "w1", Capacity: 4}),
 		encode(&msg{T: msgLease, Cell: 3}),
@@ -35,26 +44,36 @@ func FuzzWireProtocol(f *testing.F) {
 		encode(&msg{T: msgResult, Cell: 0, ElapsedNS: 5,
 			Outcome: []byte(`{"Log":{"subject":"T5"}}`)}),
 		// Compressed (large, repetitive) body.
-		encode(&msg{T: msgResult, Cell: 2,
-			Outcome: []byte(`{"blob":"` + strings.Repeat("x", 64<<10) + `"}`)}),
+		bigResult,
 		// Two messages back to back.
 		append(encode(&msg{T: msgHeartbeat}), encode(&msg{T: msgDone})...),
-		// Truncations and raw garbage.
-		encode(&msg{T: msgHeartbeat})[:7],
-		{0, 0, 0, 0},
-		{0xff, 0xff, 0xff, 0xff, 1, 2, 3},
-		[]byte("GET / HTTP/1.1\r\n\r\n"),
+		// One message in three chunks.
+		append(append(record(flagMore, hello[:5]), record(flagMore, hello[5:20])...), record(0, hello[20:])...),
+		// The compressed body cut in half.
+		record(bigResult[0], bigResult[2:2+int(bigResult[1])/2]),
+		// A dangling continuation, and a body that is not JSON.
+		record(flagMore, []byte("{")),
+		record(0, []byte("GET / HTTP/1.1\r\n\r\n")),
 	}
 	for _, s := range seeds {
 		f.Add(s)
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		br := bufio.NewReader(bytes.NewReader(data))
+		var stream bytes.Buffer
+		sw := transport.NewStreamWriter(&stream)
+		for len(data) >= 2 {
+			n := min(int(data[1]), len(data)-2)
+			if err := sw.WriteMsg(0, data[0], data[2:2+n]); err != nil {
+				t.Fatal(err)
+			}
+			data = data[2+n:]
+		}
+		sr := transport.NewStreamReader(&stream)
 		for i := 0; ; i++ {
-			m, err := readMsg(br)
+			m, err := readMsg(sr)
 			if err != nil {
-				if err != io.EOF && !errors.Is(err, ErrProtocol) {
+				if err != io.EOF && !errors.Is(err, transport.ErrProtocol) {
 					t.Fatalf("readMsg leaked a non-protocol error: %v", err)
 				}
 				return
@@ -67,6 +86,35 @@ func FuzzWireProtocol(f *testing.F) {
 			}
 		}
 	})
+}
+
+// record is one FuzzWireProtocol record: a chunk of at most 255 bytes.
+func record(flags byte, body []byte) []byte {
+	return append([]byte{flags, byte(len(body))}, body...)
+}
+
+// records re-cuts the chunks of a sender's stream into FuzzWireProtocol
+// records, linking the pieces of a chunk with flagMore.
+func records(stream []byte) []byte {
+	var out []byte
+	sr := transport.NewStreamReader(bytes.NewReader(stream))
+	for {
+		m, err := sr.ReadMsg()
+		if err != nil {
+			return out
+		}
+		for body := m.Body; ; {
+			n := min(len(body), 255)
+			flags := m.Tag
+			if n < len(body) {
+				flags |= flagMore
+			}
+			out = append(out, record(flags, body[:n])...)
+			if body = body[n:]; len(body) == 0 {
+				break
+			}
+		}
+	}
 }
 
 // FuzzWireRoundTrip drives the encoder with fuzzed message contents and
@@ -88,10 +136,10 @@ func FuzzWireRoundTrip(f *testing.F) {
 			in.Outcome = outcome
 		}
 		var buf bytes.Buffer
-		if err := newWireWriter(&buf).writeMsg(in); err != nil {
+		if err := newSender(&buf).send(in); err != nil {
 			t.Skipf("unencodable input: %v", err)
 		}
-		out, err := readMsg(bufio.NewReader(&buf))
+		out, err := readMsg(transport.NewStreamReader(&buf))
 		if err != nil {
 			t.Fatalf("decode of freshly encoded message failed: %v", err)
 		}

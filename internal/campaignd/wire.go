@@ -16,14 +16,12 @@
 package campaignd
 
 import (
-	"bufio"
 	"bytes"
 	"compress/flate"
-	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
+	"sync"
 
 	"teledrive/internal/transport"
 )
@@ -63,14 +61,12 @@ type msg struct {
 	Error     string          `json:"error,omitempty"`
 }
 
-// Framing limits. A full-fidelity cell outcome serializes to ~10 MB of
-// JSON — far beyond transport.MaxPayload — so one logical message spans
-// multiple transport frames: each frame payload is one flags byte
-// followed by a chunk of the (optionally deflate-compressed) message
-// body, and the flagMore bit links chunks.
+// Envelope limits. A full-fidelity cell outcome serializes to ~10 MB of
+// JSON — far beyond transport.MaxBody — so one logical message spans
+// several messages of the transport framed stream: each carries one
+// chunk of the (optionally deflate-compressed) JSON body, its tag holds
+// the chunk flags, and the flagMore bit links chunks.
 const (
-	// maxChunk bounds the body bytes carried per transport frame.
-	maxChunk = 256 << 10
 	// maxMessage bounds a reassembled logical message (~6x the largest
 	// observed outcome, so corrupted lengths fail fast instead of OOMing).
 	maxMessage = 64 << 20
@@ -81,29 +77,22 @@ const (
 	flagDeflate = 0x02 // message body is deflate-compressed (first chunk)
 )
 
-// ErrProtocol marks malformed wire input: bad framing, corrupt frames,
-// oversized or truncated messages, invalid JSON. The coordinator counts
-// these on campaignd_protocol_errors_total and closes the connection.
-var ErrProtocol = errors.New("campaignd: protocol error")
-
-func protocolErrf(format string, args ...any) error {
-	return fmt.Errorf("%w: %s", ErrProtocol, fmt.Sprintf(format, args...))
+// sender writes logical messages onto one framed stream. Safe for
+// concurrent use: the stream writer frames one chunk per call, so mu
+// spans every chunk of a message and the chunks of concurrent sends
+// never interleave.
+type sender struct {
+	mu sync.Mutex
+	sw *transport.StreamWriter
 }
 
-// wireWriter serializes logical messages onto a stream. Not safe for
-// concurrent use; callers serialize with their own mutex.
-type wireWriter struct {
-	w   *bufio.Writer
-	seq uint64
+func newSender(w io.Writer) *sender {
+	return &sender{sw: transport.NewStreamWriter(w)}
 }
 
-func newWireWriter(w io.Writer) *wireWriter {
-	return &wireWriter{w: bufio.NewWriter(w)}
-}
-
-// writeMsg encodes m as JSON, compresses large bodies, splits the body
-// into frame-sized chunks, and flushes the stream.
-func (ww *wireWriter) writeMsg(m *msg) error {
+// send encodes m as JSON, compresses large bodies, and writes the body
+// in chunks of at most transport.MaxBody bytes.
+func (s *sender) send(m *msg) error {
 	body, err := json.Marshal(m)
 	if err != nil {
 		return fmt.Errorf("campaignd: encode %s: %w", m.T, err)
@@ -124,95 +113,46 @@ func (ww *wireWriter) writeMsg(m *msg) error {
 		body = buf.Bytes()
 		flags |= flagDeflate
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	for first := true; first || len(body) > 0; first = false {
-		n := len(body)
-		if n > maxChunk {
-			n = maxChunk
-		}
+		n := min(len(body), transport.MaxBody)
 		chunkFlags := flags
 		if n < len(body) {
 			chunkFlags |= flagMore
 		}
-		payload := make([]byte, 1+n)
-		payload[0] = chunkFlags
-		copy(payload[1:], body[:n])
+		if err := s.sw.WriteMsg(0, chunkFlags, body[:n]); err != nil {
+			return err
+		}
 		body = body[n:]
-
-		ww.seq++
-		wire, err := transport.EncodeFrame(transport.Frame{
-			Type: transport.FrameData, Seq: ww.seq, Payload: payload,
-		})
-		if err != nil {
-			return err
-		}
-		var lenbuf [4]byte
-		binary.BigEndian.PutUint32(lenbuf[:], uint32(len(wire)))
-		if _, err := ww.w.Write(lenbuf[:]); err != nil {
-			return err
-		}
-		if _, err := ww.w.Write(wire); err != nil {
-			return err
-		}
 	}
-	return ww.w.Flush()
+	return nil
 }
 
-// maxWire is the largest legal encoded frame: flags byte + maxChunk of
-// body, plus the transport frame overhead (header + CRC trailer).
-// EncodeFrame of a (1+maxChunk)-byte payload produces exactly this.
-var maxWire = func() int {
-	wire, err := transport.EncodeFrame(transport.Frame{
-		Type: transport.FrameData, Payload: make([]byte, 1+maxChunk),
-	})
-	if err != nil {
-		panic(err)
-	}
-	return len(wire)
-}()
-
-// readMsg reassembles one logical message from r. It returns io.EOF on
-// a clean close at a message boundary, and ErrProtocol-wrapped errors
-// for every malformed input (bad length prefix, corrupt frame, chunk
-// overflow, truncated stream, invalid JSON) — the input is hostile
-// territory and must never panic (see FuzzWireProtocol).
-func readMsg(r *bufio.Reader) (*msg, error) {
+// readMsg reassembles one logical message from sr. It returns io.EOF on
+// a clean close at a message boundary, and errors wrapping
+// transport.ErrProtocol for every malformed input (bad framing, chunk
+// overflow, a close after a flagMore chunk, invalid JSON) — the input
+// is hostile territory and must never panic (see FuzzWireProtocol).
+func readMsg(sr *transport.StreamReader) (*msg, error) {
 	var body []byte
 	deflated := false
 	for chunk := 0; ; chunk++ {
-		var lenbuf [4]byte
-		if _, err := io.ReadFull(r, lenbuf[:]); err != nil {
-			if chunk == 0 && err == io.EOF {
-				return nil, io.EOF
-			}
-			return nil, fmt.Errorf("%w: truncated frame length: %w", ErrProtocol, err)
+		sm, err := sr.ReadMsg()
+		if err == io.EOF && chunk > 0 {
+			return nil, transport.ProtocolErrorf("stream closed after chunk %d of a message", chunk)
 		}
-		wlen := binary.BigEndian.Uint32(lenbuf[:])
-		if int(wlen) > maxWire || wlen == 0 {
-			return nil, protocolErrf("frame length %d out of range", wlen)
-		}
-		wire := make([]byte, wlen)
-		if _, err := io.ReadFull(r, wire); err != nil {
-			return nil, fmt.Errorf("%w: truncated frame: %w", ErrProtocol, err)
-		}
-		frame, err := transport.DecodeFrame(wire)
 		if err != nil {
-			return nil, protocolErrf("%v", err)
+			return nil, err
 		}
-		if frame.Type != transport.FrameData {
-			return nil, protocolErrf("unexpected frame type %v", frame.Type)
-		}
-		if len(frame.Payload) < 1 {
-			return nil, protocolErrf("empty frame payload")
-		}
-		flags := frame.Payload[0]
 		if chunk == 0 {
-			deflated = flags&flagDeflate != 0
+			deflated = sm.Tag&flagDeflate != 0
 		}
-		if len(body)+len(frame.Payload)-1 > maxMessage {
-			return nil, protocolErrf("message exceeds %d bytes", maxMessage)
+		if len(body)+len(sm.Body) > maxMessage {
+			return nil, transport.ProtocolErrorf("message exceeds %d bytes", maxMessage)
 		}
-		body = append(body, frame.Payload[1:]...)
-		if flags&flagMore == 0 {
+		body = append(body, sm.Body...)
+		if sm.Tag&flagMore == 0 {
 			break
 		}
 	}
@@ -220,19 +160,19 @@ func readMsg(r *bufio.Reader) (*msg, error) {
 		fr := flate.NewReader(bytes.NewReader(body))
 		inflated, err := io.ReadAll(io.LimitReader(fr, maxMessage+1))
 		if err != nil {
-			return nil, protocolErrf("inflate: %v", err)
+			return nil, transport.ProtocolErrorf("inflate: %v", err)
 		}
 		if len(inflated) > maxMessage {
-			return nil, protocolErrf("inflated message exceeds %d bytes", maxMessage)
+			return nil, transport.ProtocolErrorf("inflated message exceeds %d bytes", maxMessage)
 		}
 		body = inflated
 	}
 	var m msg
 	if err := json.Unmarshal(body, &m); err != nil {
-		return nil, protocolErrf("invalid message JSON: %v", err)
+		return nil, transport.ProtocolErrorf("invalid message JSON: %v", err)
 	}
 	if m.T == "" {
-		return nil, protocolErrf("message missing type")
+		return nil, transport.ProtocolErrorf("message missing type")
 	}
 	return &m, nil
 }

@@ -1,16 +1,15 @@
 package campaignd
 
 import (
-	"bufio"
 	"bytes"
 	"compress/flate"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 
 	"teledrive/internal/transport"
@@ -19,11 +18,10 @@ import (
 func roundTrip(t *testing.T, in *msg) *msg {
 	t.Helper()
 	var buf bytes.Buffer
-	ww := newWireWriter(&buf)
-	if err := ww.writeMsg(in); err != nil {
-		t.Fatalf("writeMsg: %v", err)
+	if err := newSender(&buf).send(in); err != nil {
+		t.Fatalf("send: %v", err)
 	}
-	out, err := readMsg(bufio.NewReader(&buf))
+	out, err := readMsg(transport.NewStreamReader(&buf))
 	if err != nil {
 		t.Fatalf("readMsg: %v", err)
 	}
@@ -63,27 +61,20 @@ func mustJSON(t *testing.T, m *msg) string {
 // body is pseudorandom hex so deflate cannot collapse it below one
 // chunk.
 func TestWireRoundTripLarge(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	raw := make([]byte, 3<<20)
-	const hex = "0123456789abcdef"
-	for i := range raw {
-		raw[i] = hex[rng.Intn(len(hex))]
-	}
-	outcome := json.RawMessage(fmt.Sprintf(`{"blob":%q}`, raw))
+	outcome := hexOutcome(7, 3<<20)
 	if len(outcome) <= transport.MaxPayload {
 		t.Fatalf("test payload too small to exercise chunking: %d", len(outcome))
 	}
 
 	var buf bytes.Buffer
-	ww := newWireWriter(&buf)
-	if err := ww.writeMsg(&msg{T: msgResult, Cell: 4, ElapsedNS: 123, Outcome: outcome}); err != nil {
-		t.Fatalf("writeMsg: %v", err)
+	if err := newSender(&buf).send(&msg{T: msgResult, Cell: 4, ElapsedNS: 123, Outcome: outcome}); err != nil {
+		t.Fatalf("send: %v", err)
 	}
-	// Chunking must actually have happened: more than one frame on the wire.
-	if frames := countFrames(t, buf.Bytes()); frames < 2 {
-		t.Fatalf("expected multi-frame message, got %d frame(s)", frames)
+	// Chunking must actually have happened: more than one chunk on the wire.
+	if chunks := countChunks(t, buf.Bytes()); chunks < 2 {
+		t.Fatalf("expected multi-chunk message, got %d chunk(s)", chunks)
 	}
-	out, err := readMsg(bufio.NewReader(&buf))
+	out, err := readMsg(transport.NewStreamReader(&buf))
 	if err != nil {
 		t.Fatalf("readMsg: %v", err)
 	}
@@ -92,30 +83,29 @@ func TestWireRoundTripLarge(t *testing.T) {
 	}
 }
 
-func countFrames(t *testing.T, wire []byte) int {
+// countChunks counts the stream messages on wire.
+func countChunks(t *testing.T, wire []byte) int {
 	t.Helper()
-	n := 0
-	for len(wire) > 0 {
-		if len(wire) < 4 {
-			t.Fatalf("trailing garbage on wire: %d bytes", len(wire))
+	sr := transport.NewStreamReader(bytes.NewReader(wire))
+	for n := 0; ; n++ {
+		if _, err := sr.ReadMsg(); err == io.EOF {
+			return n
+		} else if err != nil {
+			t.Fatal(err)
 		}
-		l := binary.BigEndian.Uint32(wire)
-		wire = wire[4+l:]
-		n++
 	}
-	return n
 }
 
 func TestWireCompressionShrinksLargeBodies(t *testing.T) {
 	outcome := json.RawMessage(`{"zeros":"` + strings.Repeat("0", 1<<20) + `"}`)
 	var buf bytes.Buffer
-	if err := newWireWriter(&buf).writeMsg(&msg{T: msgResult, Outcome: outcome}); err != nil {
+	if err := newSender(&buf).send(&msg{T: msgResult, Outcome: outcome}); err != nil {
 		t.Fatal(err)
 	}
 	if buf.Len() >= len(outcome)/10 {
 		t.Fatalf("compressible 1 MiB body should shrink dramatically, wire is %d bytes", buf.Len())
 	}
-	out, err := readMsg(bufio.NewReader(&buf))
+	out, err := readMsg(transport.NewStreamReader(&buf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,15 +116,15 @@ func TestWireCompressionShrinksLargeBodies(t *testing.T) {
 
 func TestWireMultipleMessagesOnOneStream(t *testing.T) {
 	var buf bytes.Buffer
-	ww := newWireWriter(&buf)
+	s := newSender(&buf)
 	for i := 0; i < 5; i++ {
-		if err := ww.writeMsg(&msg{T: msgLease, Cell: i}); err != nil {
+		if err := s.send(&msg{T: msgLease, Cell: i}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	br := bufio.NewReader(&buf)
+	sr := transport.NewStreamReader(&buf)
 	for i := 0; i < 5; i++ {
-		m, err := readMsg(br)
+		m, err := readMsg(sr)
 		if err != nil {
 			t.Fatalf("message %d: %v", i, err)
 		}
@@ -142,41 +132,22 @@ func TestWireMultipleMessagesOnOneStream(t *testing.T) {
 			t.Fatalf("message %d: got cell %d", i, m.Cell)
 		}
 	}
-	if _, err := readMsg(br); err != io.EOF {
+	if _, err := readMsg(sr); err != io.EOF {
 		t.Fatalf("want io.EOF at clean end of stream, got %v", err)
 	}
 }
 
-// TestReadMsgRejectsMalformedInput walks every protocol-error path:
-// each must surface as ErrProtocol (never a panic, never a silent nil).
+// TestReadMsgRejectsMalformedInput walks every envelope error path:
+// each must surface as transport.ErrProtocol (never a panic, never a
+// silent nil, never io.EOF). The framing errors under it are
+// transport's (TestStreamRejectsMalformedInput).
 func TestReadMsgRejectsMalformedInput(t *testing.T) {
-	valid := func() []byte {
+	chunk := func(flags byte, body []byte) []byte {
 		var buf bytes.Buffer
-		if err := newWireWriter(&buf).writeMsg(&msg{T: msgHeartbeat}); err != nil {
+		if err := transport.NewStreamWriter(&buf).WriteMsg(0, flags, body); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
-	}()
-
-	frame := func(payload []byte) []byte {
-		wire, err := transport.EncodeFrame(transport.Frame{Type: transport.FrameData, Payload: payload})
-		if err != nil {
-			t.Fatal(err)
-		}
-		out := make([]byte, 4+len(wire))
-		binary.BigEndian.PutUint32(out, uint32(len(wire)))
-		copy(out[4:], wire)
-		return out
-	}
-	ackFrame := func() []byte {
-		wire, err := transport.EncodeFrame(transport.Frame{Type: transport.FrameAck, Payload: []byte{0}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		out := make([]byte, 4+len(wire))
-		binary.BigEndian.PutUint32(out, uint32(len(wire)))
-		copy(out[4:], wire)
-		return out
 	}
 	// A deflate bomb: a tiny compressed body that inflates past
 	// maxMessage must be refused by the LimitReader, not allocated.
@@ -190,49 +161,113 @@ func TestReadMsgRejectsMalformedInput(t *testing.T) {
 			}
 		}
 		fw.Close()
-		return frame(append([]byte{flagDeflate}, z.Bytes()...))
+		return chunk(flagDeflate, z.Bytes())
 	}()
 
 	cases := []struct {
 		name string
 		data []byte
 	}{
-		{"truncated length prefix", valid[:2]},
-		{"zero frame length", []byte{0, 0, 0, 0}},
-		{"oversized frame length", []byte{0xff, 0xff, 0xff, 0xff}},
-		{"truncated frame body", valid[:len(valid)-3]},
-		{"corrupt frame CRC", corrupt(valid)},
-		{"non-data frame type", ackFrame()},
-		{"empty frame payload", frame(nil)},
-		{"invalid JSON body", frame([]byte{0, 'n', 'o', 'p', 'e'})},
-		{"missing message type", frame([]byte{0, '{', '}'})},
-		{"dangling continuation", frame([]byte{flagMore, '{'})},
-		{"corrupt deflate body", frame([]byte{flagDeflate, 1, 2, 3})},
+		{"invalid JSON body", chunk(0, []byte("nope"))},
+		{"missing message type", chunk(0, []byte("{}"))},
+		{"dangling continuation", chunk(flagMore, []byte("{"))},
+		{"corrupt deflate body", chunk(flagDeflate, []byte{1, 2, 3})},
 		{"deflate bomb", bomb},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			m, err := readMsg(bufio.NewReader(bytes.NewReader(tc.data)))
+			m, err := readMsg(transport.NewStreamReader(bytes.NewReader(tc.data)))
 			if err == nil {
 				t.Fatalf("accepted malformed input: %+v", m)
 			}
-			if !errors.Is(err, ErrProtocol) {
+			if err == io.EOF || !errors.Is(err, transport.ErrProtocol) {
 				t.Fatalf("want ErrProtocol, got %v", err)
 			}
 		})
 	}
 }
 
-// corrupt flips one bit in the frame body (past the length prefix) so
-// the CRC check must catch it.
-func corrupt(wire []byte) []byte {
-	out := append([]byte(nil), wire...)
-	out[len(out)-1] ^= 0x40
-	return out
+func TestReadMsgCleanEOF(t *testing.T) {
+	if _, err := readMsg(transport.NewStreamReader(bytes.NewReader(nil))); err != io.EOF {
+		t.Fatalf("empty stream: want io.EOF, got %v", err)
+	}
 }
 
-func TestReadMsgCleanEOF(t *testing.T) {
-	if _, err := readMsg(bufio.NewReader(bytes.NewReader(nil))); err != io.EOF {
-		t.Fatalf("empty stream: want io.EOF, got %v", err)
+// hexOutcome is a JSON outcome of n pseudorandom hex digits: deflate
+// cannot collapse it much below n/2 bytes.
+func hexOutcome(seed int64, n int) json.RawMessage {
+	rng := rand.New(rand.NewSource(seed))
+	raw := make([]byte, n)
+	const hex = "0123456789abcdef"
+	for i := range raw {
+		raw[i] = hex[rng.Intn(len(hex))]
+	}
+	return json.RawMessage(fmt.Sprintf(`{"blob":%q}`, raw))
+}
+
+// TestSenderKeepsChunksContiguous sends several multi-chunk results
+// concurrently with a stream of heartbeats, the worker's traffic
+// pattern, through one sender: every message must reassemble exactly,
+// which it cannot if chunks of two messages interleave.
+func TestSenderKeepsChunksContiguous(t *testing.T) {
+	const results, heartbeats = 4, 40
+	pr, pw := io.Pipe()
+	s := newSender(pw)
+	outcomes := make([]json.RawMessage, results)
+	for i := range outcomes {
+		outcomes[i] = hexOutcome(int64(i), 3<<20)
+	}
+
+	got := make(chan error, 1)
+	go func() {
+		sr := transport.NewStreamReader(pr)
+		seen, hbs := 0, 0
+		var err error
+		for err == nil && (seen < results || hbs < heartbeats) {
+			var m *msg
+			if m, err = readMsg(sr); err != nil {
+				err = fmt.Errorf("after %d results and %d heartbeats: %w", seen, hbs, err)
+				break
+			}
+			switch {
+			case m.T == msgHeartbeat:
+				hbs++
+			case m.T == msgResult && m.Cell >= 0 && m.Cell < results && bytes.Equal(m.Outcome, outcomes[m.Cell]):
+				seen++
+			default:
+				err = fmt.Errorf("message %q for cell %d mangled in transit", m.T, m.Cell)
+			}
+		}
+		pr.CloseWithError(err) // unblocks the senders when decoding failed
+		got <- err
+	}()
+
+	var wg sync.WaitGroup
+	wg.Add(results + 1)
+	go func() {
+		defer wg.Done()
+		for range heartbeats {
+			if s.send(&msg{T: msgHeartbeat}) != nil {
+				return // the reader failed and says why
+			}
+		}
+	}()
+	for i := range results {
+		go func() {
+			defer wg.Done()
+			_ = s.send(&msg{T: msgResult, Cell: i, Outcome: outcomes[i]}) // on error the reader says why
+		}()
+	}
+	wg.Wait()
+	if err := <-got; err != nil {
+		t.Fatal(err)
+	}
+
+	var one bytes.Buffer
+	if err := newSender(&one).send(&msg{T: msgResult, Outcome: outcomes[0]}); err != nil {
+		t.Fatal(err)
+	}
+	if n := countChunks(t, one.Bytes()); n < 2 {
+		t.Fatalf("a result spans %d chunk(s): the test needs multi-chunk messages", n)
 	}
 }

@@ -1,7 +1,6 @@
 package campaignd
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -15,6 +14,7 @@ import (
 	"teledrive/internal/scenario"
 	"teledrive/internal/session"
 	"teledrive/internal/telemetry"
+	"teledrive/internal/transport"
 )
 
 // DefaultHeartbeatEvery is the worker's liveness cadence. It must be
@@ -89,24 +89,18 @@ func (w *Worker) Run(ctx context.Context, addr string) error {
 
 	ins := newWorkerInstruments(w.Registry)
 
-	var sendMu sync.Mutex
-	ww := newWireWriter(conn)
-	send := func(m *msg) error {
-		sendMu.Lock()
-		defer sendMu.Unlock()
-		return ww.writeMsg(m)
-	}
+	send := newSender(conn).send
 
 	if err := send(&msg{T: msgHello, Worker: w.ID, Capacity: w.capacity()}); err != nil {
 		return fmt.Errorf("campaignd: worker hello: %w", err)
 	}
-	br := bufio.NewReader(conn)
-	pm, err := readMsg(br)
+	sr := transport.NewStreamReader(conn)
+	pm, err := readMsg(sr)
 	if err != nil {
 		return fmt.Errorf("campaignd: worker handshake: %w", err)
 	}
 	if pm.T != msgPlan || pm.Spec == nil {
-		return protocolErrf("expected plan, got %q", pm.T)
+		return transport.ProtocolErrorf("expected plan, got %q", pm.T)
 	}
 	plan, err := pm.Spec.BuildPlan()
 	if err != nil {
@@ -160,7 +154,7 @@ func (w *Worker) Run(ctx context.Context, addr string) error {
 	}
 
 	for {
-		m, err := readMsg(br)
+		m, err := readMsg(sr)
 		if err != nil {
 			cleanup()
 			if ctx.Err() != nil {
@@ -172,7 +166,7 @@ func (w *Worker) Run(ctx context.Context, addr string) error {
 		case msgLease:
 			if m.Cell < 0 || m.Cell >= len(plan.Cells) {
 				cleanup()
-				return protocolErrf("leased cell %d out of range", m.Cell)
+				return transport.ProtocolErrorf("leased cell %d out of range", m.Cell)
 			}
 			ins.Leased.Inc()
 			jobs <- m.Cell
@@ -182,7 +176,7 @@ func (w *Worker) Run(ctx context.Context, addr string) error {
 			return nil
 		default:
 			cleanup()
-			return protocolErrf("unexpected %q from coordinator", m.T)
+			return transport.ProtocolErrorf("unexpected %q from coordinator", m.T)
 		}
 	}
 }

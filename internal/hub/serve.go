@@ -3,6 +3,7 @@ package hub
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"slices"
 	"sync"
@@ -40,7 +41,7 @@ func (h *Hub) Serve(ln net.Listener) error {
 			}
 			return err
 		}
-		hc := &hubConn{h: h, c: c, ww: newWireWriter(c), sessions: make(map[uint64]*liveSession)}
+		hc := &hubConn{h: h, c: c, ww: transport.NewStreamWriter(c), sessions: make(map[uint64]*liveSession)}
 		h.mu.Lock()
 		if h.closed {
 			h.mu.Unlock()
@@ -74,7 +75,7 @@ func (h *Hub) Close() {
 type hubConn struct {
 	h  *Hub
 	c  net.Conn
-	ww *wireWriter
+	ww *transport.StreamWriter
 
 	mu       sync.Mutex
 	sessions map[uint64]*liveSession
@@ -85,7 +86,7 @@ func (hc *hubConn) writeJSON(session uint64, kind byte, v any) error {
 	if err != nil {
 		return err
 	}
-	return hc.ww.writeMsg(session, kind, body)
+	return hc.ww.WriteMsg(session, kind, body)
 }
 
 func (hc *hubConn) lookup(id uint64) *liveSession {
@@ -119,22 +120,22 @@ func (hc *hubConn) readLoop() {
 		hc.h.mu.Unlock()
 	}()
 
-	wr := newWireReader(hc.c)
+	sr := transport.NewStreamReader(hc.c)
 	for {
-		m, err := wr.readMsg()
+		m, err := sr.ReadMsg()
 		if err != nil {
 			// Clean EOF and hostile garbage end the same way — the
 			// connection is done — but garbage is counted first.
-			if h := hc.h; h.ins != nil && !isEOF(err) {
+			if h := hc.h; h.ins != nil && err != io.EOF {
 				h.ins.ProtocolErrors.Inc()
 			}
-			if !isEOF(err) {
+			if err != io.EOF {
 				//lint:allow errswallow best-effort farewell: the connection is already being torn down
 				_ = hc.writeJSON(0, kindError, WireError{Error: err.Error()})
 			}
 			return
 		}
-		switch m.Kind {
+		switch m.Tag {
 		case kindJoin:
 			var req JoinRequest
 			if err := json.Unmarshal(m.Body, &req); err != nil {
@@ -147,7 +148,7 @@ func (hc *hubConn) readLoop() {
 			}
 			hc.handleJoin(req)
 		case kindBridge:
-			ls := hc.lookup(m.Session)
+			ls := hc.lookup(m.Seq)
 			if ls == nil {
 				// A message for a session that already ended races its
 				// kindEnd — not an error, just late traffic.
@@ -163,7 +164,7 @@ func (hc *hubConn) readLoop() {
 				}
 			}
 		case kindLeave:
-			if ls := hc.lookup(m.Session); ls != nil {
+			if ls := hc.lookup(m.Seq); ls != nil {
 				ls.kill("left")
 			}
 		default:
@@ -270,7 +271,7 @@ func (h *Hub) newLiveSession(hc *hubConn, req JoinRequest) (*liveSession, error)
 	topts := transport.Options{Name: "hub", Reliable: !req.Datagram, Pools: scr.Pools}
 	// Server handler late-binds (the endpoint exists before the server);
 	// the station-side handler relays every delivered bridge message onto
-	// the shared TCP stream under this session's id. writeMsg copies the
+	// the shared TCP stream under this session's id. WriteMsg copies the
 	// payload into the connection's pending buffer and does not retain
 	// it, honoring the pooled-delivery contract.
 	var srv *bridge.Server
@@ -282,7 +283,7 @@ func (h *Hub) newLiveSession(hc *hubConn, req JoinRequest) (*liveSession, error)
 		},
 		func(payload []byte, _ uint64, _ time.Duration) {
 			//lint:allow errswallow best-effort downlink relay: a dead connection is detected (and the session killed) by its read loop
-			_ = ls.conn.ww.writeMsg(ls.id, kindBridge, payload)
+			_ = ls.conn.ww.WriteMsg(ls.id, kindBridge, payload)
 		},
 	)
 	srv, err = bridge.NewServer(ls.clock, built.World, built.Ego, conn.A)

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"slices"
 	"sync"
@@ -12,6 +13,7 @@ import (
 
 	"teledrive/internal/bridge"
 	"teledrive/internal/sensors"
+	"teledrive/internal/transport"
 	"teledrive/internal/vehicle"
 )
 
@@ -21,7 +23,7 @@ import (
 // frame state.
 type Station struct {
 	c  net.Conn
-	ww *wireWriter
+	ww *transport.StreamWriter
 
 	// joinMu serializes enqueue+write of a join so the FIFO queue order
 	// always matches the order requests hit the wire.
@@ -53,7 +55,7 @@ func Dial(addr string) (*Station, error) {
 func NewStation(c net.Conn) *Station {
 	st := &Station{
 		c:        c,
-		ww:       newWireWriter(c),
+		ww:       transport.NewStreamWriter(c),
 		sessions: make(map[uint64]*StationSession),
 		closed:   make(chan struct{}),
 	}
@@ -80,9 +82,9 @@ func (st *Station) Err() error {
 // callback runs is queued too and leaves with the callback's.
 func (st *Station) send(ss *StationSession, kind byte, body []byte) error {
 	if ss.inOnFrame.Load() {
-		return st.ww.queueMsg(ss.ID, kind, body)
+		return st.ww.QueueMsg(ss.ID, kind, body)
 	}
-	return st.ww.writeMsg(ss.ID, kind, body)
+	return st.ww.WriteMsg(ss.ID, kind, body)
 }
 
 // Join asks the hub for a session and waits for the answer (or the
@@ -103,7 +105,7 @@ func (st *Station) Join(req JoinRequest) (*StationSession, error) {
 	}
 	st.joinQ = append(st.joinQ, ch)
 	st.mu.Unlock()
-	werr := st.ww.writeMsg(0, kindJoin, body)
+	werr := st.ww.WriteMsg(0, kindJoin, body)
 	if werr != nil {
 		// Unwind the enqueue (joinMu held: ours is still the newest).
 		st.mu.Lock()
@@ -129,17 +131,17 @@ func (st *Station) lookup(id uint64) *StationSession {
 // readLoop demuxes hub→station traffic until the connection dies.
 func (st *Station) readLoop() {
 	var terminal error
-	wr := newWireReader(flushingReader{r: st.c, ww: st.ww})
+	sr := transport.NewStreamReader(transport.FlushingReader{R: st.c, W: st.ww})
 	for {
-		m, err := wr.readMsg()
+		m, err := sr.ReadMsg()
 		if err != nil {
-			if !isEOF(err) {
+			if err != io.EOF {
 				terminal = err
 			}
 			break
 		}
 		//lint:allow exhaustiveenvelope deliberate filter: kindJoin/kindLeave are uplink-only, and unknown kinds from a newer hub are tolerated rather than fatal
-		switch m.Kind {
+		switch m.Tag {
 		case kindJoined:
 			// The session registers HERE, on the read goroutine, before the
 			// next message is read — a turbo hub can flood frames (and even
@@ -159,7 +161,7 @@ func (st *Station) readLoop() {
 			}
 			switch {
 			case jerr != nil:
-				ch <- joinAnswer{err: protocolErrf("bad join reply: %v", jerr)}
+				ch <- joinAnswer{err: transport.ProtocolErrorf("bad join reply: %v", jerr)}
 			case reply.Error != "":
 				ch <- joinAnswer{err: fmt.Errorf("hub: join rejected: %s", reply.Error)}
 			default:
@@ -175,7 +177,7 @@ func (st *Station) readLoop() {
 				ch <- joinAnswer{ss: ss}
 			}
 		case kindBridge:
-			if ss := st.lookup(m.Session); ss != nil {
+			if ss := st.lookup(m.Seq); ss != nil {
 				ss.handleBridge(m.Body)
 			}
 		case kindEnd:
@@ -183,9 +185,9 @@ func (st *Station) readLoop() {
 			if json.Unmarshal(m.Body, &end) != nil {
 				continue
 			}
-			if ss := st.lookup(m.Session); ss != nil {
+			if ss := st.lookup(m.Seq); ss != nil {
 				st.mu.Lock()
-				delete(st.sessions, m.Session)
+				delete(st.sessions, m.Seq)
 				st.mu.Unlock()
 				ss.finish(&end)
 			}

@@ -14,7 +14,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"slices"
 	"time"
 )
 
@@ -79,25 +78,14 @@ var (
 //
 // with all integers big-endian.
 func EncodeFrame(f Frame) ([]byte, error) {
-	return EncodeFrameAppend(nil, f)
-}
-
-// EncodeFrameAppend serializes f appended to dst (usually dst[:0] of a
-// reused scratch buffer) and returns the extended slice: the
-// allocation-free form of EncodeFrame for callers that are done with the
-// bytes before the next encode into the same buffer.
-func EncodeFrameAppend(dst []byte, f Frame) ([]byte, error) {
 	if len(f.Payload) > MaxPayload {
 		return nil, fmt.Errorf("%w: %d bytes", ErrPayloadTooBig, len(f.Payload))
 	}
-	start := len(dst)
-	need := headerLen + len(f.Payload) + trailerLen
-	dst = slices.Grow(dst, need)
-	buf := dst[start : start+need]
+	buf := make([]byte, headerLen+len(f.Payload)+trailerLen)
 	putHeader(buf, f.Type, f.Seq, f.Timestamp, len(f.Payload))
 	copy(buf[headerLen:], f.Payload)
 	putTrailer(buf)
-	return dst[:start+need], nil
+	return buf, nil
 }
 
 // putHeader writes the frame header for a plen-byte payload into buf.

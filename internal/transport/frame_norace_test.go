@@ -10,9 +10,9 @@ import (
 	"teledrive/internal/simclock"
 )
 
-// TestEncodeFrameAllocs pins EncodeFrameAppend's growth: the output
-// buffer is sized once, so EncodeFrame allocates at most one object at
-// every payload size, from a control message to a campaignd chunk.
+// TestEncodeFrameAllocs pins EncodeFrame's growth: the output buffer
+// is sized once, so EncodeFrame allocates at most one object at every
+// payload size, from a control message to a full payload.
 // The race detector instruments allocations, hence !race.
 func TestEncodeFrameAllocs(t *testing.T) {
 	for _, size := range []int{0, 30, 6 << 10, 24 << 10, 256 << 10, MaxPayload} {
