@@ -56,11 +56,14 @@ race:
 	$(GO) test -race -short ./internal/campaignd
 
 # Multi-tenant hub chaos battery under the race detector: served
-# sessions over real localhost TCP with mid-frame connection kills,
-# lossy-datagram delta resyncs, and concurrent join/leave churn, plus
-# the station's burst flush and the framed stream's group-commit writer
-# under it (concurrent writers, sticky error at the pending cap). Runs
-# in CI (scripts/ci.sh) after the package race stage.
+# sessions over real localhost TCP with mid-frame connection kills (one
+# after another on one hub, then no pacer left after Close),
+# lossy-datagram delta resyncs, concurrent join/leave churn, and the
+# pacers' one flush per connection and tick, plus the station's burst
+# flush and the framed stream's group-commit writer and error rule
+# under it (concurrent writers, sticky error at the pending cap, I/O
+# errors passed through). Runs in CI (scripts/ci.sh) after the package
+# race stage.
 race-hub:
 	$(GO) test -race -run 'TestHubServe|TestHubChaos|TestHubChurn|TestHubHostileBytes|TestHubWire' -count=1 ./internal/hub
 	$(GO) test -race -run 'TestStream' -count=1 ./internal/transport

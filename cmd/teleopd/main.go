@@ -37,7 +37,7 @@ func run(args []string) error {
 	var (
 		addr    = fs.String("addr", "127.0.0.1:7340", "TCP listen address for stations")
 		turbo   = fs.Bool("turbo", false, "advance sessions as fast as possible instead of pacing to real time (batch/testing)")
-		workers = fs.Int("workers", 0, "run-arena pool bound (0 = GOMAXPROCS)")
+		workers = fs.Int("workers", 0, "session pacer goroutines and run-arena pool bound (0 = GOMAXPROCS)")
 		ops     = opsflags.Register(fs, "teleopd")
 	)
 	if err := fs.Parse(args); err != nil {

@@ -130,10 +130,12 @@ func (s *sender) send(m *msg) error {
 }
 
 // readMsg reassembles one logical message from sr. It returns io.EOF on
-// a clean close at a message boundary, and errors wrapping
+// a clean close at a message boundary, errors wrapping
 // transport.ErrProtocol for every malformed input (bad framing, chunk
-// overflow, a close after a flagMore chunk, invalid JSON) — the input
-// is hostile territory and must never panic (see FuzzWireProtocol).
+// overflow, a close after a flagMore chunk, invalid JSON), and the
+// connection's own error for an I/O failure such as a read deadline —
+// the input is hostile territory and must never panic (see
+// FuzzWireProtocol).
 func readMsg(sr *transport.StreamReader) (*msg, error) {
 	var body []byte
 	deflated := false

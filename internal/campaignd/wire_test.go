@@ -8,9 +8,11 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"net"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"teledrive/internal/transport"
 )
@@ -184,6 +186,31 @@ func TestReadMsgRejectsMalformedInput(t *testing.T) {
 				t.Fatalf("want ErrProtocol, got %v", err)
 			}
 		})
+	}
+}
+
+// TestReadMsgPassesTimeout pins that a worker going quiet past the read
+// deadline, before a message or after its first chunk, surfaces as the
+// connection's timeout, which the coordinator does not count as a
+// protocol error.
+func TestReadMsgPassesTimeout(t *testing.T) {
+	var first bytes.Buffer
+	if err := transport.NewStreamWriter(&first).WriteMsg(0, flagMore, []byte("{")); err != nil {
+		t.Fatal(err)
+	}
+	for _, sent := range [][]byte{nil, first.Bytes()} {
+		a, b := net.Pipe()
+		go func() { _, _ = b.Write(sent) }()
+		if err := a.SetReadDeadline(time.Now().Add(50 * time.Millisecond)); err != nil {
+			t.Fatal(err)
+		}
+		_, err := readMsg(transport.NewStreamReader(a))
+		var ne net.Error
+		if !errors.As(err, &ne) || !ne.Timeout() || errors.Is(err, transport.ErrProtocol) {
+			t.Errorf("quiet after %d bytes: got %v, want a timeout that is not ErrProtocol", len(sent), err)
+		}
+		a.Close()
+		b.Close()
 	}
 }
 

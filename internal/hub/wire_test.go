@@ -68,7 +68,9 @@ func tickSession(t *testing.T, seed int64) (*liveSession, *bytes.Buffer) {
 // sent straight into its uplink endpoint at the previous step's
 // clock.Now(), as they arrived. The drain must send all of them at the
 // next step, in order, and leave the plant and the whole downlink
-// byte-identical to the twin's.
+// byte-identical to the twin's. The downlink relay only queues, so each
+// tick flushes both connections after the step, as a pacer does after
+// its batch.
 func TestHubWireTickDrain(t *testing.T) {
 	drained, downDrained := tickSession(t, 41)
 	direct, downDirect := tickSession(t, 41)
@@ -77,6 +79,11 @@ func TestHubWireTickDrain(t *testing.T) {
 		next += bridge.PhysicsTick
 		drained.step(next)
 		direct.clock.AdvanceTo(next)
+		for _, ls := range []*liveSession{drained, direct} {
+			if err := ls.conn.ww.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	for range 50 {
 		tick()

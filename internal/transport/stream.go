@@ -6,7 +6,8 @@
 // campaignd's chunk flags); the rest of the payload is the body. The
 // frame's CRC guards every message, and the read side treats the stream
 // as hostile territory: it never panics, a clean close is exactly
-// io.EOF, and every other failure wraps ErrProtocol (FuzzStream).
+// io.EOF, malformed or truncated input wraps ErrProtocol (FuzzStream),
+// and an I/O error of the underlying reader passes through unchanged.
 //
 // The served hub relays thousands of messages a second through one
 // socket, so the stream costs no allocation per message and as few
@@ -201,17 +202,19 @@ func NewStreamReader(r io.Reader) *StreamReader {
 }
 
 // ReadMsg reads one message. Its Body is valid until the next call.
-// A clean close at a message boundary returns exactly io.EOF; every
-// other failure, a stream truncated mid-message included, returns an
-// error that wraps ErrProtocol.
+// A clean close at a message boundary returns exactly io.EOF; malformed
+// input, a stream that ends mid-message included, returns an error that
+// wraps ErrProtocol. Any other read error (a deadline, a closed
+// connection) is an I/O event, not hostile input, and returns
+// unchanged.
 func (sr *StreamReader) ReadMsg() (StreamMsg, error) {
 	sr.buf = slices.Grow(sr.buf[:0], 4)
 	lenbuf := sr.buf[:4]
 	if _, err := io.ReadFull(sr.r, lenbuf); err != nil {
-		if err == io.EOF {
-			return StreamMsg{}, io.EOF
+		if err == io.ErrUnexpectedEOF {
+			return StreamMsg{}, fmt.Errorf("%w: truncated frame length: %w", ErrProtocol, err)
 		}
-		return StreamMsg{}, fmt.Errorf("%w: truncated frame length: %w", ErrProtocol, err)
+		return StreamMsg{}, err
 	}
 	flen := binary.BigEndian.Uint32(lenbuf)
 	if flen == 0 || flen > maxStreamFrame {
@@ -220,7 +223,11 @@ func (sr *StreamReader) ReadMsg() (StreamMsg, error) {
 	sr.buf = slices.Grow(sr.buf[:0], int(flen))
 	wire := sr.buf[:flen]
 	if _, err := io.ReadFull(sr.r, wire); err != nil {
-		return StreamMsg{}, fmt.Errorf("%w: truncated frame: %w", ErrProtocol, err)
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
+			// The stream ended after the length prefix.
+			return StreamMsg{}, fmt.Errorf("%w: truncated frame: %w", ErrProtocol, io.ErrUnexpectedEOF)
+		}
+		return StreamMsg{}, err
 	}
 	frame, err := DecodeFrame(wire)
 	if err != nil {

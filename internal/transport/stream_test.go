@@ -6,9 +6,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"testing/iotest"
 	"time"
 )
 
@@ -324,6 +326,39 @@ func TestStreamRejectsMalformedInput(t *testing.T) {
 				t.Fatalf("want ErrProtocol, got %v", err)
 			}
 		})
+	}
+}
+
+// timeoutErr is a read deadline as a net.Conn reports it.
+type timeoutErr struct{}
+
+func (timeoutErr) Error() string   { return "i/o timeout" }
+func (timeoutErr) Timeout() bool   { return true }
+func (timeoutErr) Temporary() bool { return true }
+
+// TestStreamPassesIOErrors pins the other half of the error rule: a
+// read that fails (a deadline, a closed connection), at a message
+// boundary or mid-message, is an I/O event and returns unchanged, not
+// as ErrProtocol; a stream that ends mid-message is still truncated
+// input.
+func TestStreamPassesIOErrors(t *testing.T) {
+	valid := referenceStream(t, 0, 0x00, []byte(`{"t":"hb"}`))
+	for _, ioErr := range []error{timeoutErr{}, net.ErrClosed} {
+		for _, at := range []int{0, 2, 4, len(valid) - 3} {
+			t.Run(fmt.Sprintf("%v after %d bytes", ioErr, at), func(t *testing.T) {
+				r := io.MultiReader(bytes.NewReader(valid[:at]), iotest.ErrReader(ioErr))
+				_, err := NewStreamReader(r).ReadMsg()
+				if !errors.Is(err, ioErr) || errors.Is(err, ErrProtocol) {
+					t.Fatalf("got %v, want %v not wrapped in ErrProtocol", err, ioErr)
+				}
+			})
+		}
+	}
+	for _, at := range []int{2, 4, len(valid) - 3} {
+		_, err := NewStreamReader(bytes.NewReader(valid[:at])).ReadMsg()
+		if !errors.Is(err, ErrProtocol) {
+			t.Errorf("stream cut after %d bytes: got %v, want ErrProtocol", at, err)
+		}
 	}
 }
 
