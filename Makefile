@@ -79,7 +79,7 @@ race-dist:
 # Adversarial-search determinism battery under the race detector: the
 # synthetic and real-drive any-worker-count identity tests, journal
 # resume, and the CLI gate — then a same-seed double run of
-# cmd/adversary (sequential vs pooled) whose reports must compare
+# cmd/adversary (one worker vs four) whose reports must compare
 # byte-identical. Runs in CI (scripts/ci.sh) after race-hub.
 race-search:
 	$(GO) test -race -count=1 -run 'TestSearchDeterministicAcrossWorkers|TestSimSearchDeterministicAcrossWorkers|TestJournalResume|TestHTEstimateUnbiased' ./internal/search
@@ -93,7 +93,7 @@ race-search:
 # Short fuzz passes over the hostile-input surfaces: the lint
 # suppression parser (runs over every comment in the repo on each
 # `make lint`), the world-view decoder, the transport framing, the
-# framed stream every TCP wire shares (hub, campaignd, teleop), the
+# framed stream every TCP wire shares (hub, campaignd), the
 # zero-run checksum (must equal crc32 for any bytes plus a zero run),
 # the endpoint receive path (arbitrary frames must never panic or be
 # silently lost), the spatial-index equivalence property (grid-indexed

@@ -24,9 +24,9 @@ type hubSessionParams struct {
 	profile  driver.Profile
 }
 
-// connectHub joins a session on a teleopd hub and drives it with the
-// driver model: the remote-station counterpart of the local demo loop.
-// The hub hosts the world; this side only perceives and steers.
+// connectHub joins a session on the hub at p.addr, in-process or a
+// teleopd, and drives it with the driver model. The hub hosts the
+// world; this side only perceives and steers.
 //
 //lint:allow wallclock remote station: the hub paces simulated time to real time, so the station lives on the wall clock
 func connectHub(p hubSessionParams) error {

@@ -40,10 +40,10 @@ type Config struct {
 	// cells whose recordings failed.
 	ApplyPaperExclusions bool
 	// Workers bounds the number of simulation cells run concurrently
-	// during the execute phase. 0 means runtime.GOMAXPROCS(0); 1 is the
-	// exact legacy sequential path. Campaign results are bit-identical
-	// for every value — all randomness is consumed by the sequential
-	// plan phase and every cell carries an explicit seed.
+	// during the execute phase. 0 means runtime.GOMAXPROCS(0). Campaign
+	// results are bit-identical for every value — all randomness is
+	// consumed by the sequential plan phase and every cell carries an
+	// explicit seed.
 	Workers int
 	// Metrics, when non-nil, instruments the campaign: every cell runs
 	// with this shared registry (netem/bridge/session instruments

@@ -228,10 +228,9 @@ func resolveWorkers(n int) int {
 }
 
 // Execute runs the plan's cells on a bounded worker pool
-// (Config.Workers wide; 1 = the exact legacy sequential path) and
-// reassembles the results in deterministic subject/scenario order. The
-// first cell failure (in cell order) cancels all outstanding work and
-// is returned.
+// (Config.Workers wide) and reassembles the results in deterministic
+// subject/scenario order. The first cell failure (in cell order)
+// cancels all outstanding work and is returned.
 func (p *Plan) Execute() (*Result, error) {
 	started := time.Now() //lint:allow wallclock measures the bench's own cost (Result.Elapsed); simulated time comes from simclock
 
@@ -268,9 +267,8 @@ func (p *Plan) Execute() (*Result, error) {
 
 // ExecuteCells runs independent cell specs on a bounded worker pool:
 // the execute phase detached from campaign plans, shared with the
-// adversarial search driver. workers ≤ 1 is the exact legacy sequential
-// path (one run arena, first error aborts); otherwise a pool of that
-// many workers, each owning one run arena, with the first failure
+// adversarial search driver. A pool of workers (at least one, at most
+// one per spec), each owning one run arena, with the first failure
 // cancelling outstanding work. Results come back indexed like specs.
 // On error the returned int is the lowest failing spec index —
 // deterministic even when several cells fail concurrently — and the
@@ -279,35 +277,7 @@ func (p *Plan) Execute() (*Result, error) {
 // set on every spec alongside the worker's scratch arena.
 func ExecuteCells(specs []core.RunSpec, workers int, ins *Instruments, arts *scenario.ArtifactCache) ([]*core.Result, int, error) {
 	results := make([]*core.Result, len(specs))
-	if workers > len(specs) {
-		workers = len(specs)
-	}
-
-	if workers <= 1 {
-		// Legacy path: strictly sequential, first error aborts. One run
-		// arena serves every cell.
-		scratch := session.NewRunScratch()
-		var w0 *telemetry.Counter
-		if ins != nil {
-			w0 = ins.WorkerCells(0)
-		}
-		for ci := range specs {
-			if ins != nil {
-				ins.CellsInFlight.Inc()
-			}
-			spec := specs[ci]
-			spec.Scratch = scratch
-			spec.Artifacts = arts
-			r, err := core.RunOne(spec)
-			ins.cellDone(r, w0, err)
-			if err != nil {
-				return nil, ci, err
-			}
-			results[ci] = r
-		}
-		return results, -1, nil
-	}
-
+	workers = max(1, min(workers, len(specs)))
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	jobs := make(chan int)

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"teledrive/internal/core"
 	"teledrive/internal/driver"
 	"teledrive/internal/faultinject"
 	"teledrive/internal/scenario"
@@ -283,6 +284,27 @@ func TestParallelFailureCancels(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), "campaign: subject T5 golden bad") {
 			t.Fatalf("workers=%d: unexpected error: %v", w, err)
+		}
+	}
+}
+
+// TestExecuteCellsClampsWorkers: a non-positive width (a search with
+// Options.Workers ≤ 1 passes 0) runs a one-worker pool instead of none,
+// and still reports the lowest failing index.
+func TestExecuteCellsClampsWorkers(t *testing.T) {
+	prof := subjects(t, "T5")[0]
+	specs := make([]core.RunSpec, 3)
+	for i := range specs {
+		specs[i] = core.RunSpec{
+			Scenario: &scenario.Scenario{Name: "bad", EgoStartStation: 10, EndStation: 5, Timeout: time.Minute},
+			Profile:  prof,
+			Seed:     int64(i),
+		}
+	}
+	for _, w := range []int{0, -2} {
+		res, failed, err := ExecuteCells(specs, w, nil, scenario.NewArtifactCache())
+		if err == nil || failed != 0 || res != nil {
+			t.Fatalf("workers=%d: got (%v, %d, %v), want the error of cell 0", w, res, failed, err)
 		}
 	}
 }

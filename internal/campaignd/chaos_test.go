@@ -3,6 +3,7 @@ package campaignd
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -59,6 +60,61 @@ func TestChaosWorkerKilledMidCell(t *testing.T) {
 	prom := promDump(t, reg)
 	if !strings.Contains(prom, `event="requeued"`) {
 		t.Error("worker death did not re-queue any lease (victim died too early to matter?)")
+	}
+}
+
+// TestChaosWorkerKilledTwice kills a worker holding every cell, then a
+// second one holding every requeued cell: each victim's capacity covers
+// the plan, and it withholds its results so its leases stay open until
+// it dies. A survivor then runs the campaign, which must equal the
+// single-process run and match the distributed-equivalence golden, and
+// every cell must have been requeued exactly twice.
+func TestChaosWorkerKilledTwice(t *testing.T) {
+	skipInShort(t)
+	plan, err := testSpec().BuildPlan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := len(plan.Cells)
+	reg := telemetry.NewRegistry()
+	coord := &Coordinator{Spec: testSpec(), Registry: reg}
+	addr, done := startCoordinator(t, coord, nil)
+
+	for _, id := range []string{"victim-1", "victim-2"} {
+		wreg := telemetry.NewRegistry()
+		leased := newWorkerInstruments(wreg).Leased
+		ctx, cancel := context.WithCancel(context.Background())
+		victim := runWorker(ctx, &Worker{
+			ID: id, Capacity: cells, Registry: wreg,
+			resultHook: func(*msg) []*msg { return nil },
+		}, addr)
+		for deadline := time.Now().Add(time.Minute); leased.Value() < uint64(cells); {
+			if time.Now().After(deadline) {
+				cancel()
+				t.Fatalf("%s leased %d of %d cells", id, leased.Value(), cells)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+		cancel()
+		if err := <-victim; !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s should die of its context, got %v", id, err)
+		}
+	}
+	survivor := runWorker(context.Background(), &Worker{ID: "survivor", Capacity: 2}, addr)
+
+	cr := waitCoord(t, done, 2*time.Minute)
+	if cr.err != nil {
+		t.Fatalf("coordinator: %v", cr.err)
+	}
+	if err := <-survivor; err != nil {
+		t.Fatalf("survivor: %v", err)
+	}
+	assertEqualToReference(t, cr.res)
+	checkEquivalenceGolden(t, equivalenceGolden{Digest: PlanDigest(plan), Fingerprints: fingerprints(cr.res)})
+
+	prom := promDump(t, reg)
+	if want := fmt.Sprintf(`campaignd_cells_total{event="requeued"} %d`, 2*cells); !strings.Contains(prom, want) {
+		t.Errorf("want %s, got:\n%s", want, grepLine(prom, `event="requeued"`))
 	}
 }
 

@@ -56,7 +56,7 @@ type Options struct {
 	Kernel Kernel
 	// Weights score cells (zero value = DefaultWeights).
 	Weights Weights
-	// Workers is the evaluation pool width (≤1 = sequential). It never
+	// Workers is the evaluation pool width (≤1 = one worker). It never
 	// affects results, only wall-clock.
 	Workers int
 	// Label tags the evaluator configuration (e.g. "sim/T3"). It is

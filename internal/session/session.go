@@ -53,9 +53,10 @@ type Plant interface {
 type Link interface {
 	// Name labels the link implementation in logs.
 	Name() string
-	// Faults exposes the NETEM-emulated fault surface, or nil when the
-	// link has none (a real TCP link, say) — fault injection is then
-	// unavailable and the supervisor drives POIs without injecting.
+	// Faults exposes the NETEM-emulated fault surface. NetemLink, the
+	// one implementation, always has one; a link that returns nil gets
+	// no fault injection, and the supervisor drives POIs without
+	// injecting.
 	Faults() *netem.Duplex
 }
 

@@ -1,13 +1,13 @@
 // Framed stream: the one TCP framing teledrive speaks. The hub's
-// station wire, campaignd's coordinator↔worker wire and teleop's local
-// demo all carry messages as a 4-byte big-endian length followed by one
-// FrameData frame. Seq holds a caller value (the hub's session id) and
-// the first payload byte is a caller tag (the hub's message kind,
-// campaignd's chunk flags); the rest of the payload is the body. The
-// frame's CRC guards every message, and the read side treats the stream
-// as hostile territory: it never panics, a clean close is exactly
-// io.EOF, malformed or truncated input wraps ErrProtocol (FuzzStream),
-// and an I/O error of the underlying reader passes through unchanged.
+// station wire and campaignd's coordinator↔worker wire both carry
+// messages as a 4-byte big-endian length followed by one FrameData
+// frame. Seq holds a caller value (the hub's session id) and the first
+// payload byte is a caller tag (the hub's message kind, campaignd's
+// chunk flags); the rest of the payload is the body. The frame's CRC
+// guards every message, and the read side treats the stream as
+// hostile territory: it never panics, a clean close is exactly io.EOF,
+// malformed or truncated input wraps ErrProtocol (FuzzStream), and an
+// I/O error of the underlying reader passes through unchanged.
 //
 // The served hub relays thousands of messages a second through one
 // socket, so the stream costs no allocation per message and as few

@@ -30,8 +30,7 @@ func PointCounters(reg *telemetry.Registry, envName string) (planned, done *tele
 type pointJob struct {
 	rule  netem.Rule
 	label string
-	// desc is the error context ("baseline", "delay 100ms", ...),
-	// matching the legacy sequential error messages.
+	// desc is the error context ("baseline", "delay 100ms", ...).
 	desc string
 	seed int64
 }
@@ -55,20 +54,6 @@ func runPoints(env Env, jobs []pointJob, workers int) ([]Point, error) {
 	if env.Metrics != nil {
 		planned, done = PointCounters(env.Metrics, env.Name)
 		planned.Add(uint64(len(jobs)))
-	}
-
-	if workers <= 1 {
-		for i, j := range jobs {
-			p, err := RunPoint(env, j.rule, j.label, j.seed)
-			if err != nil {
-				return nil, fmt.Errorf("validity: %s %s: %w", env.Name, j.desc, err)
-			}
-			pts[i] = p
-			if done != nil {
-				done.Inc()
-			}
-		}
-		return pts, nil
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
