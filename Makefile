@@ -101,8 +101,9 @@ race-search:
 # neighbour-list Projector along random walks (every warm answer must
 # equal the linear scan's bits), the Prometheus exposition writer
 # (arbitrary metric/label names must sanitize into grammar-valid
-# output), and campaignd's chunk reassembly, inflate limits and JSON
-# envelope.
+# output), campaignd's chunk reassembly, inflate limits and JSON
+# envelope, and the operator display (any keyframe/diff sequence must
+# count every message once and only ever show newer frames).
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzParseAllow -fuzztime=5s ./internal/analysis
 	$(GO) test -run='^$$' -fuzz=FuzzUnmarshalWorldView -fuzztime=5s ./internal/sensors
@@ -115,6 +116,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzWireProtocol -fuzztime=5s ./internal/campaignd
 	$(GO) test -run='^$$' -fuzz=FuzzApplyWorldViewDelta -fuzztime=5s ./internal/sensors
 	$(GO) test -run='^$$' -fuzz=FuzzStream -fuzztime=5s ./internal/transport
+	$(GO) test -run='^$$' -fuzz=FuzzDisplay -fuzztime=5s ./internal/bridge
 
 # Everything a PR must survive: compile, static checks, determinism
 # lint, race-clean tests, and the short fuzz budget.

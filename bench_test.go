@@ -211,11 +211,11 @@ func BenchmarkValiditySweep(b *testing.B) {
 	var simPts, mvPts []validity.Point
 	for i := 0; i < b.N; i++ {
 		var err error
-		simPts, err = validity.Sweep(validity.Simulator(prof), validity.PaperDelays(), validity.PaperLosses(), 2024)
+		simPts, err = validity.Sweep(validity.Simulator(prof), validity.PaperDelays(), validity.PaperLosses(), 2024, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
-		mvPts, err = validity.Sweep(validity.ModelVehicle(), validity.ModelDelays(), validity.PaperLosses(), 2024)
+		mvPts, err = validity.Sweep(validity.ModelVehicle(), validity.ModelDelays(), validity.PaperLosses(), 2024, 1)
 		if err != nil {
 			b.Fatal(err)
 		}

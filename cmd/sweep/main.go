@@ -107,7 +107,7 @@ func runLadders(env validity.Env, seed int64, workers int) (int, error) {
 	if env.Name == "model-vehicle" {
 		delays = validity.ModelDelays()
 	}
-	points, err := validity.SweepWorkers(env, delays, validity.PaperLosses(), seed, workers)
+	points, err := validity.Sweep(env, delays, validity.PaperLosses(), seed, workers)
 	if err != nil {
 		return 0, err
 	}
@@ -145,7 +145,7 @@ func runGrid(env validity.Env, seed int64, workers int) (int, error) {
 	if env.Name == "model-vehicle" {
 		delays = []time.Duration{0, 10 * time.Millisecond, 20 * time.Millisecond, 50 * time.Millisecond, 100 * time.Millisecond}
 	}
-	grid, err := validity.GridSweepWorkers(env, delays, losses, seed, workers)
+	grid, err := validity.GridSweep(env, delays, losses, seed, workers)
 	if err != nil {
 		return 0, err
 	}

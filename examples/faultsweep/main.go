@@ -25,7 +25,7 @@ func main() {
 		if env.Name == "model-vehicle" {
 			delays = validity.ModelDelays()
 		}
-		points, err := validity.Sweep(env, delays, validity.PaperLosses(), 99)
+		points, err := validity.Sweep(env, delays, validity.PaperLosses(), 99, 1)
 		if err != nil {
 			log.Fatal(err)
 		}

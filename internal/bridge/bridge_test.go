@@ -27,7 +27,7 @@ func testSession(t *testing.T) (*simclock.Clock, *Session, *world.World, *world.
 		t.Fatal(err)
 	}
 	clk := simclock.New()
-	sess, err := NewSession(clk, w, ego, 1234)
+	sess, err := NewSessionWithTransport(clk, w, ego, 1234, transport.Options{Name: "bridge", Reliable: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package bridge
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"time"
 
@@ -15,16 +14,13 @@ import (
 
 // ClientStats counts operator-station activity.
 type ClientStats struct {
-	FramesReceived    uint64
-	FramesStale       uint64 // frames older than the one already displayed
-	DeltasApplied     uint64 // frames reconstructed from diffs (subset of FramesReceived)
-	DeltaResyncs      uint64 // diffs whose base the station no longer held
+	DisplayStats      // FramesReceived, FramesStale, DeltasApplied, DeltaResyncs
 	ControlsSent      uint64
 	ControlsDropped   uint64 // send-window full
 	CollisionsSeen    uint64
 	LaneInvasionsSeen uint64
 	MetaRepliesSeen   uint64
-	ProtocolErrors    uint64 // malformed envelopes or kinds a client must never receive
+	ProtocolErrors    uint64 // malformed envelopes or frame bodies, or kinds a client must never receive
 }
 
 // Client is the operator-station side of the bridge: it tracks the most
@@ -44,25 +40,15 @@ type Client struct {
 	clock *simclock.Clock
 	ep    *transport.Endpoint
 
-	latest      sensors.WorldView
-	latestValid bool
-	latestLat   time.Duration // transport latency of the displayed frame
-	receivedAt  time.Duration // when the displayed frame arrived
-	metaSeq     uint64
-	stats       ClientStats
-	ins         *ClientInstruments // optional telemetry handles; nil = uninstrumented
+	// disp is the displayed frame; a view handed out (Frame, OnFrame)
+	// is stable only until the next displayed frame (see Display).
+	disp       Display
+	latestLat  time.Duration // transport latency of the displayed frame
+	receivedAt time.Duration // when the displayed frame arrived
+	metaSeq    uint64
+	stats      ClientStats        // DisplayStats filled in by Stats
+	ins        *ClientInstruments // optional telemetry handles; nil = uninstrumented
 
-	// resyncStreak spaces out keyframe requests while the diff chain is
-	// broken; it resets whenever a frame is accepted.
-	resyncStreak int
-
-	// decodeView double-buffers the frame decode: each MsgFrame is
-	// decoded into it, and on acceptance it is swapped with latest, so
-	// the displaced view's actor backing becomes the next decode target.
-	// A view handed out (Frame, OnFrame) is therefore stable only until
-	// the next accepted frame — consumers that look further back copy
-	// what they keep (the driver's reaction buffer does).
-	decodeView sensors.WorldView
 	// ctrlBuf is the reused control envelope; the transport copies the
 	// payload into pooled fragments, so reuse across sends is safe.
 	ctrlBuf []byte
@@ -86,20 +72,22 @@ func (c *Client) Handler() transport.Handler {
 }
 
 // Stats returns a snapshot of the client counters.
-func (c *Client) Stats() ClientStats { return c.stats }
+func (c *Client) Stats() ClientStats {
+	s := c.stats
+	s.DisplayStats = c.disp.Stats()
+	return s
+}
 
 // Frame returns the currently displayed world view. ok is false until
 // the first frame arrives.
-func (c *Client) Frame() (view sensors.WorldView, ok bool) {
-	return c.latest, c.latestValid
-}
+func (c *Client) Frame() (view sensors.WorldView, ok bool) { return c.disp.View() }
 
 // FrameAge returns how stale the displayed frame's content is: the time
 // elapsed since the frame was captured on the vehicle, as observable at
 // the station (transport latency + time since arrival). This is the
 // quantity network faults inflate and the driver model perceives.
 func (c *Client) FrameAge() time.Duration {
-	if !c.latestValid {
+	if _, ok := c.disp.View(); !ok {
 		return time.Duration(-1)
 	}
 	return c.latestLat + (c.clock.Now() - c.receivedAt)
@@ -148,40 +136,32 @@ func (c *Client) handleMessage(payload []byte, latency time.Duration) {
 		return
 	}
 	switch t {
-	case MsgFrame:
-		if err := sensors.UnmarshalWorldViewInto(&c.decodeView, body); err != nil {
-			c.stats.ProtocolErrors++
-			return
+	case MsgFrame, MsgDeltaFrame:
+		o, requestKeyframe := c.disp.Apply(t, body)
+		if requestKeyframe {
+			// Best-effort: a lost request is retried at a later break,
+			// and the server's keyframe cadence recovers the chain anyway.
+			_, _ = c.SendMeta("request_keyframe", nil)
 		}
-		c.stats.FramesReceived++
-		if c.ins != nil {
-			c.ins.FramesReceived.Inc()
-		}
-		c.acceptDecoded(latency)
-	case MsgDeltaFrame:
-		// A diff applies against the displayed view; a chain break —
-		// nothing displayed yet, or the base frame was lost on the way —
-		// asks the server to restart with a keyframe.
-		if !c.latestValid {
-			c.stats.DeltaResyncs++
-			c.requestKeyframe()
-			return
-		}
-		if err := sensors.ApplyWorldViewDelta(&c.decodeView, c.latest, body); err != nil {
-			if errors.Is(err, sensors.ErrDeltaBaseMismatch) {
-				c.stats.DeltaResyncs++
-				c.requestKeyframe()
-			} else {
-				c.stats.ProtocolErrors++
+		switch o {
+		case Shown:
+			if c.ins != nil {
+				c.ins.FramesReceived.Inc()
 			}
-			return
+			c.latestLat = latency
+			c.receivedAt = c.clock.Now()
+			if c.OnFrame != nil {
+				c.OnFrame(c.disp.view, latency)
+			}
+		case Stale:
+			if c.ins != nil {
+				c.ins.FramesReceived.Inc()
+				c.ins.FramesStale.Inc()
+			}
+		case Malformed:
+			c.stats.ProtocolErrors++
+		case Resync: // counted by the display; the request above is the answer
 		}
-		c.stats.FramesReceived++
-		c.stats.DeltasApplied++
-		if c.ins != nil {
-			c.ins.FramesReceived.Inc()
-		}
-		c.acceptDecoded(latency)
 	case MsgCollision:
 		var ev CollisionWire
 		if json.Unmarshal(body, &ev) == nil {
@@ -214,41 +194,6 @@ func (c *Client) handleMessage(payload []byte, latency time.Duration) {
 	}
 }
 
-// acceptDecoded promotes decodeView to the display if it is newer than
-// what is shown. Only monotonically newer frames display; an older
-// frame that arrives late (reordering, duplication) is discarded — its
-// decode target is simply reused by the next frame.
-func (c *Client) acceptDecoded(latency time.Duration) {
-	if c.latestValid && c.decodeView.Frame <= c.latest.Frame {
-		c.stats.FramesStale++
-		if c.ins != nil {
-			c.ins.FramesStale.Inc()
-		}
-		return
-	}
-	c.latest, c.decodeView = c.decodeView, c.latest
-	c.latestValid = true
-	c.latestLat = latency
-	c.receivedAt = c.clock.Now()
-	c.resyncStreak = 0
-	if c.OnFrame != nil {
-		c.OnFrame(c.latest, latency)
-	}
-}
-
-// requestKeyframe asks the server to restart the diff chain. Spaced
-// out: under sustained loss every broken diff would otherwise emit a
-// meta-command, and the requests ride the same lossy uplink — so the
-// first break asks immediately and persistence retries every eighth.
-func (c *Client) requestKeyframe() {
-	c.resyncStreak++
-	if c.resyncStreak == 1 || c.resyncStreak%8 == 0 {
-		// Best-effort: a lost request is retried by the streak above,
-		// and the server's keyframe cadence recovers the chain anyway.
-		_, _ = c.SendMeta("request_keyframe", nil)
-	}
-}
-
 // Session bundles a connected server/client pair over an emulated
 // network — one complete RDS communication stack.
 type Session struct {
@@ -257,15 +202,11 @@ type Session struct {
 	Conn   *transport.Conn
 }
 
-// NewSession wires a vehicle-subsystem server and an operator-station
-// client over a fresh reliable connection with the given seed — the
-// paper's TCP-like setup. Fault rules are injected through Conn.Links.
-func NewSession(clock *simclock.Clock, w *world.World, ego *world.Actor, seed int64) (*Session, error) {
-	return NewSessionWithTransport(clock, w, ego, seed, transport.Options{Name: "bridge", Reliable: true})
-}
-
-// NewSessionWithTransport is NewSession with explicit transport options,
-// e.g. datagram mode for the transport ablation (DESIGN.md §5.1).
+// NewSessionWithTransport wires a vehicle-subsystem server and an
+// operator-station client over a fresh connection with the given seed
+// and transport options — Reliable for the paper's TCP-like setup,
+// datagram mode for the transport ablation (DESIGN.md §5.1). Fault
+// rules are injected through Conn.Links.
 func NewSessionWithTransport(clock *simclock.Clock, w *world.World, ego *world.Actor, seed int64, topts transport.Options) (*Session, error) {
 	// The handlers need the server/client objects, which need the
 	// endpoints; break the cycle with late-bound closures.

@@ -12,16 +12,15 @@
 package campaign
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
-	"sync"
 	"time"
 
 	"teledrive/internal/core"
 	"teledrive/internal/driver"
+	"teledrive/internal/pool"
 	"teledrive/internal/scenario"
 	"teledrive/internal/session"
 	"teledrive/internal/telemetry"
@@ -229,8 +228,8 @@ func resolveWorkers(n int) int {
 
 // Execute runs the plan's cells on a bounded worker pool
 // (Config.Workers wide) and reassembles the results in deterministic
-// subject/scenario order. The first cell failure (in cell order)
-// cancels all outstanding work and is returned.
+// subject/scenario order. After the first cell failure no new cell
+// starts, and the lowest failing cell's error is returned.
 func (p *Plan) Execute() (*Result, error) {
 	started := time.Now() //lint:allow wallclock measures the bench's own cost (Result.Elapsed); simulated time comes from simclock
 
@@ -267,9 +266,10 @@ func (p *Plan) Execute() (*Result, error) {
 
 // ExecuteCells runs independent cell specs on a bounded worker pool:
 // the execute phase detached from campaign plans, shared with the
-// adversarial search driver. A pool of workers (at least one, at most
-// one per spec), each owning one run arena, with the first failure
-// cancelling outstanding work. Results come back indexed like specs.
+// adversarial search driver. It runs on pool.Run with workers clamped
+// to [1, len(specs)] (so 0 means one worker), each owning one run
+// arena; after the first failure no new cell starts. Results come back
+// indexed like specs.
 // On error the returned int is the lowest failing spec index —
 // deterministic even when several cells fail concurrently — and the
 // error is the bare cell error (callers add their own context). ins may
@@ -278,60 +278,31 @@ func (p *Plan) Execute() (*Result, error) {
 func ExecuteCells(specs []core.RunSpec, workers int, ins *Instruments, arts *scenario.ArtifactCache) ([]*core.Result, int, error) {
 	results := make([]*core.Result, len(specs))
 	workers = max(1, min(workers, len(specs)))
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	jobs := make(chan int)
-	errs := make([]error, len(specs))
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		// Per-worker handles bind on the spawning goroutine; the worker
-		// body only increments.
-		var wc *telemetry.Counter
+	// Each worker owns one run arena for its whole cell stream; the
+	// artifact cache is shared (immutable artifacts, mutex inside).
+	// Per-worker handles bind here; the cell path only increments.
+	scratch := make([]*session.RunScratch, workers)
+	wc := make([]*telemetry.Counter, workers)
+	for w := range scratch {
+		scratch[w] = session.NewRunScratch()
 		if ins != nil {
-			wc = ins.WorkerCells(w)
+			wc[w] = ins.WorkerCells(w)
 		}
-		go func() {
-			defer wg.Done()
-			// Each worker owns one run arena for its whole cell stream;
-			// the artifact cache is shared (immutable artifacts, mutex
-			// inside).
-			scratch := session.NewRunScratch()
-			for ci := range jobs {
-				// After a failure elsewhere, drain the queue without
-				// starting new simulations.
-				if ctx.Err() != nil {
-					continue
-				}
-				if ins != nil {
-					ins.CellsInFlight.Inc()
-				}
-				spec := specs[ci]
-				spec.Scratch = scratch
-				spec.Artifacts = arts
-				r, err := core.RunOne(spec)
-				ins.cellDone(r, wc, err)
-				if err != nil {
-					errs[ci] = err
-					cancel()
-					continue
-				}
-				results[ci] = r
-			}
-		}()
 	}
-	for ci := range specs {
-		jobs <- ci
-	}
-	close(jobs)
-	wg.Wait()
-
-	// Report the lowest-index failure for a deterministic error even
-	// when several cells fail concurrently.
-	for ci, err := range errs {
-		if err != nil {
-			return nil, ci, err
+	failed, err := pool.Run(len(specs), workers, func(w, ci int) error {
+		if ins != nil {
+			ins.CellsInFlight.Inc()
 		}
+		spec := specs[ci]
+		spec.Scratch = scratch[w]
+		spec.Artifacts = arts
+		r, err := core.RunOne(spec)
+		ins.cellDone(r, wc[w], err)
+		results[ci] = r
+		return err
+	})
+	if err != nil {
+		return nil, failed, err
 	}
 	return results, -1, nil
 }

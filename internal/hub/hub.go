@@ -29,6 +29,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"teledrive/internal/pool"
 	"teledrive/internal/rds"
 	"teledrive/internal/scenario"
 	"teledrive/internal/session"
@@ -201,21 +202,14 @@ func (h *Hub) Run(spec SessionSpec) SessionResult {
 	return res
 }
 
-// RunMany executes the specs through a bounded worker pool (the hub's
-// Workers setting) and returns results in spec order.
+// RunMany executes the specs on pool.Run, the hub's Workers setting
+// wide, and returns results in spec order. Each result carries its own
+// Err; one failing session does not stop the others.
 func (h *Hub) RunMany(specs []SessionSpec) []SessionResult {
 	results := make([]SessionResult, len(specs))
-	sem := make(chan struct{}, h.cfg.Workers)
-	var wg sync.WaitGroup
-	for i := range specs {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			results[i] = h.Run(specs[i])
-		}(i)
-	}
-	wg.Wait()
+	_, _ = pool.Run(len(specs), h.cfg.Workers, func(_, i int) error {
+		results[i] = h.Run(specs[i])
+		return nil
+	})
 	return results
 }

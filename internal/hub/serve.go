@@ -331,9 +331,6 @@ func (h *Hub) newLiveSession(hc *hubConn, req JoinRequest) (*liveSession, error)
 			return fail(err)
 		}
 	}
-	if req.FrameIntervalNS > 0 {
-		srv.SetFrameInterval(time.Duration(req.FrameIntervalNS))
-	}
 	if req.VideoBytes > 0 {
 		srv.Camera().VideoFrameBytes = req.VideoBytes
 	}

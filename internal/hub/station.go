@@ -2,7 +2,6 @@ package hub
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -226,15 +225,12 @@ func (st *Station) readLoop() {
 
 // StationStats counts one session's station-side activity.
 type StationStats struct {
-	FramesReceived uint64
-	FramesStale    uint64
-	DeltasApplied  uint64
-	DeltaResyncs   uint64
-	ControlsSent   uint64
-	Collisions     uint64
-	LaneInvasions  uint64
-	MetaReplies    uint64
-	ProtocolErrors uint64
+	bridge.DisplayStats // FramesReceived, FramesStale, DeltasApplied, DeltaResyncs
+	ControlsSent        uint64
+	Collisions          uint64
+	LaneInvasions       uint64
+	MetaReplies         uint64
+	ProtocolErrors      uint64
 }
 
 // StationSession is one remotely driven session as seen from the
@@ -248,25 +244,24 @@ type StationSession struct {
 	// session's writes from the callback queue (Station.send).
 	inOnFrame atomic.Bool
 
-	mu           sync.Mutex
-	onFrame      func(view sensors.WorldView)
-	latest       sensors.WorldView
-	latestValid  bool
-	receivedAt   time.Time
-	decodeView   sensors.WorldView
-	stats        StationStats
-	resyncStreak int
-	metaSeq      uint64
-	end          *SessionEnd
-	endOnce      sync.Once
-	done         chan struct{}
+	mu         sync.Mutex
+	onFrame    func(view sensors.WorldView)
+	disp       bridge.Display
+	receivedAt time.Time
+	stats      StationStats // DisplayStats filled in by Stats
+	metaSeq    uint64
+	end        *SessionEnd
+	endOnce    sync.Once
+	done       chan struct{}
 }
 
 // Stats snapshots the session counters.
 func (ss *StationSession) Stats() StationStats {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
-	return ss.stats
+	s := ss.stats
+	s.DisplayStats = ss.disp.Stats()
+	return s
 }
 
 // Frame returns a copy of the displayed world view. ok is false until
@@ -274,11 +269,11 @@ func (ss *StationSession) Stats() StationStats {
 func (ss *StationSession) Frame() (view sensors.WorldView, ok bool) {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
-	if !ss.latestValid {
+	view, ok = ss.disp.View()
+	if !ok {
 		return sensors.WorldView{}, false
 	}
-	view = ss.latest
-	view.Others = slices.Clone(ss.latest.Others)
+	view.Others = slices.Clone(view.Others)
 	return view, true
 }
 
@@ -287,7 +282,7 @@ func (ss *StationSession) Frame() (view sensors.WorldView, ok bool) {
 func (ss *StationSession) FrameAge() time.Duration {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
-	if !ss.latestValid {
+	if _, ok := ss.disp.View(); !ok {
 		return time.Duration(-1)
 	}
 	//lint:allow wallclock remote station: frame age is genuinely wall-clock time, there is no local simclock
@@ -308,15 +303,24 @@ func (ss *StationSession) SendControl(ctrl vehicle.Control) error {
 
 // SendMeta transmits a meta-command, returning its sequence number.
 func (ss *StationSession) SendMeta(cmd string, args map[string]string) (uint64, error) {
+	seq, msg, err := ss.metaMsg(cmd, args)
+	if err != nil {
+		return 0, err
+	}
+	return seq, ss.st.send(ss, kindBridge, msg)
+}
+
+// metaMsg numbers a meta-command and encodes it as a bridge message.
+func (ss *StationSession) metaMsg(cmd string, args map[string]string) (uint64, []byte, error) {
 	ss.mu.Lock()
 	ss.metaSeq++
 	seq := ss.metaSeq
 	ss.mu.Unlock()
 	body, err := json.Marshal(bridge.MetaCommand{Seq: seq, Cmd: cmd, Args: args})
 	if err != nil {
-		return 0, err
+		return 0, nil, err
 	}
-	return seq, ss.st.send(ss, kindBridge, append([]byte{byte(bridge.MsgMeta)}, body...))
+	return seq, append([]byte{byte(bridge.MsgMeta)}, body...), nil
 }
 
 // Leave detaches from the session; the hub tears it down and answers
@@ -358,34 +362,18 @@ func (ss *StationSession) handleBridge(payload []byte) {
 		return
 	}
 	t, body := bridge.MsgType(payload[0]), payload[1:]
+	var o bridge.Outcome
+	requestKeyframe := false
 	ss.mu.Lock()
-	promoted := false
 	switch t {
-	case bridge.MsgFrame:
-		if err := sensors.UnmarshalWorldViewInto(&ss.decodeView, body); err != nil {
+	case bridge.MsgFrame, bridge.MsgDeltaFrame:
+		o, requestKeyframe = ss.disp.Apply(t, body)
+		if o == bridge.Shown {
+			//lint:allow wallclock remote station: frame arrival is stamped in wall time, there is no local simclock
+			ss.receivedAt = time.Now()
+		} else if o == bridge.Malformed {
 			ss.stats.ProtocolErrors++
-			break
 		}
-		ss.stats.FramesReceived++
-		promoted = ss.acceptDecodedLocked()
-	case bridge.MsgDeltaFrame:
-		if !ss.latestValid {
-			ss.stats.DeltaResyncs++
-			ss.requestKeyframeLocked()
-			break
-		}
-		if err := sensors.ApplyWorldViewDelta(&ss.decodeView, ss.latest, body); err != nil {
-			if errors.Is(err, sensors.ErrDeltaBaseMismatch) {
-				ss.stats.DeltaResyncs++
-				ss.requestKeyframeLocked()
-			} else {
-				ss.stats.ProtocolErrors++
-			}
-			break
-		}
-		ss.stats.FramesReceived++
-		ss.stats.DeltasApplied++
-		promoted = ss.acceptDecodedLocked()
 	case bridge.MsgCollision:
 		ss.stats.Collisions++
 	case bridge.MsgLaneInvasion:
@@ -396,31 +384,24 @@ func (ss *StationSession) handleBridge(payload []byte) {
 		ss.stats.ProtocolErrors++
 	}
 	fire := ss.onFrame
-	view := ss.latest
+	view, _ := ss.disp.View()
 	ss.mu.Unlock()
+	// A keyframe request queues like a control sent from the callback:
+	// the read goroutine flushes it before it next reads the socket.
+	if requestKeyframe {
+		if _, msg, err := ss.metaMsg("request_keyframe", nil); err == nil {
+			//lint:allow errswallow best-effort resync request: a dead connection ends the session via the read loop
+			_ = ss.st.ww.QueueMsg(ss.ID, kindBridge, msg)
+		}
+	}
 	// Fire outside the lock so the callback may call SendControl and
 	// friends. Only this goroutine mutates view state, so the unlocked
 	// view stays stable for the duration of the call.
-	if promoted && fire != nil {
+	if o == bridge.Shown && fire != nil {
 		ss.inOnFrame.Store(true)
 		fire(view)
 		ss.inOnFrame.Store(false)
 	}
-}
-
-// acceptDecodedLocked promotes decodeView if newer, reporting whether a
-// new frame displayed. Caller holds mu.
-func (ss *StationSession) acceptDecodedLocked() bool {
-	if ss.latestValid && ss.decodeView.Frame <= ss.latest.Frame {
-		ss.stats.FramesStale++
-		return false
-	}
-	ss.latest, ss.decodeView = ss.decodeView, ss.latest
-	ss.latestValid = true
-	//lint:allow wallclock remote station: frame arrival is stamped in wall time, there is no local simclock
-	ss.receivedAt = time.Now()
-	ss.resyncStreak = 0
-	return true
 }
 
 // SetOnFrame installs a callback that runs on the connection's read
@@ -432,23 +413,4 @@ func (ss *StationSession) SetOnFrame(fn func(view sensors.WorldView)) {
 	ss.mu.Lock()
 	ss.onFrame = fn
 	ss.mu.Unlock()
-}
-
-// requestKeyframeLocked asks the plant to restart the diff chain,
-// spaced out like bridge.Client does. Caller holds mu; the write runs
-// outside it.
-func (ss *StationSession) requestKeyframeLocked() {
-	ss.resyncStreak++
-	if ss.resyncStreak == 1 || ss.resyncStreak%8 == 0 {
-		ss.metaSeq++
-		seq := ss.metaSeq
-		go func() {
-			body, err := json.Marshal(bridge.MetaCommand{Seq: seq, Cmd: "request_keyframe"})
-			if err != nil {
-				return
-			}
-			//lint:allow errswallow best-effort resync request: a dead connection ends the session via the read loop
-			_ = ss.st.send(ss, kindBridge, append([]byte{byte(bridge.MsgMeta)}, body...))
-		}()
-	}
 }

@@ -33,8 +33,6 @@ type JoinRequest struct {
 	Delta bool `json:"delta,omitempty"`
 	// KeyframeEvery bounds the diff chain (0 = bridge default).
 	KeyframeEvery int `json:"keyframe_every,omitempty"`
-	// FrameIntervalNS overrides the camera frame period (0 = default).
-	FrameIntervalNS int64 `json:"frame_interval_ns,omitempty"`
 	// VideoBytes overrides the synthetic encoded-video payload per full
 	// frame (0 = sensors.DefaultVideoFrameBytes). Fragile links want
 	// this small: every MTU's worth is one more fragment to lose.

@@ -119,21 +119,11 @@ func DriverConfig() driver.Config {
 // via BuildWithPlant.
 func PlantSpec() vehicle.Spec { return vehicle.ScaledModelCar() }
 
-// Plant is the scale-model vehicle subsystem: the paper's RC car with
-// its smartphone-camera uplink. It speaks the same bridge protocol as
-// the simulator plant — the session layer cannot tell them apart — and
-// reports the model-scale frame geometry.
-type Plant struct {
-	*bridge.Server
-}
-
-// FrameGeometry describes the smartphone camera mounted on the car
-// (the §VIII setup): its usable range at model scale.
-func (p *Plant) FrameGeometry() (rangeM float64) { return p.Camera().Range }
-
 // NewStack is the session.StackBuilder for the model-vehicle
 // environment: the scale-model plant over the datagram
-// (smartphone-camera style) link. Pass it via rds.BenchConfig.NewStack
+// (smartphone-camera style) link. The plant is a plain bridge.Server —
+// the RC car speaks the same bridge protocol as the simulator plant, so
+// the session layer cannot tell them apart. Pass it via rds.BenchConfig.NewStack
 // or validity.Env.NewStack.
 func NewStack(clock *simclock.Clock, w *world.World, ego *world.Actor, seed int64, topts transport.Options) (*session.Stack, error) {
 	sess, err := bridge.NewSessionWithTransport(clock, w, ego, seed, topts)
@@ -141,7 +131,7 @@ func NewStack(clock *simclock.Clock, w *world.World, ego *world.Actor, seed int6
 		return nil, err
 	}
 	return &session.Stack{
-		Plant:  &Plant{Server: sess.Server},
+		Plant:  sess.Server,
 		Client: sess.Client,
 		Link:   session.NetemLink{Conn: sess.Conn},
 	}, nil

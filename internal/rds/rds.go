@@ -80,8 +80,6 @@ type BenchConfig struct {
 	// perturbed fault space — delay/jitter/loss magnitudes between and
 	// beyond the paper's five conditions.
 	FaultRules []*faultinject.RuleAssignment
-	// Station defaults to PaperStation().
-	Station *StationSpec
 	// Transport defaults to the reliable (TCP-like) channel.
 	Transport *transport.Options
 	// NewStack, when non-nil, overrides the session stack builder
@@ -232,10 +230,6 @@ func Run(cfg BenchConfig) (*Outcome, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	station := PaperStation()
-	if cfg.Station != nil {
-		station = *cfg.Station
-	}
 	topts := transport.Options{Name: "bridge", Reliable: true}
 	if cfg.Transport != nil {
 		topts = *cfg.Transport
@@ -364,7 +358,7 @@ func Run(cfg BenchConfig) (*Outcome, error) {
 		Sink:          stack.Client,
 		Supervisor:    sup,
 		Observers:     spine,
-		ControlPeriod: station.ControlPeriod,
+		ControlPeriod: PaperStation().ControlPeriod,
 		Timeout:       cfg.Scenario.Timeout,
 		Wire: func(spine session.Observers) error {
 			if cfg.FrameInterval > 0 {

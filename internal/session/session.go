@@ -29,8 +29,8 @@ import (
 // Plant is the vehicle subsystem: it owns the simulated world, steps
 // physics on the session clock, streams sensor data downlink and
 // applies uplink controls to the remotely driven actor.
-// *bridge.Server is the standard implementation; modelvehicle.Plant is
-// the scale-model variant.
+// *bridge.Server implements it for both the simulator and the scale
+// model (modelvehicle.NewStack).
 type Plant interface {
 	// Start schedules the physics and sensor loops; Stop halts them.
 	Start()
@@ -89,8 +89,12 @@ type Supervisor interface {
 	Finish(now time.Duration)
 }
 
+// runChunk is the clock-advance granularity of the run loop (simulated
+// time between supervisor checks).
+const runChunk = 100 * time.Millisecond
+
 // Session wires the four subsystems and the observer spine into one
-// runnable drive. All fields except Chunk are required.
+// runnable drive. All fields except Wire are required.
 type Session struct {
 	Clock      *simclock.Clock
 	Plant      Plant
@@ -106,9 +110,6 @@ type Session struct {
 	ControlPeriod time.Duration
 	// Timeout aborts a run whose supervisor never reports done.
 	Timeout time.Duration
-	// Chunk is the clock-advance granularity of the run loop (default
-	// 100 ms simulated).
-	Chunk time.Duration
 
 	// Wire, when non-nil, runs during the wire phase — after the
 	// operator loop is scheduled, before the plant starts. Stack-
@@ -167,11 +168,6 @@ func (s *Session) Run() (Result, error) {
 	if err := s.validate(); err != nil {
 		return res, err
 	}
-	chunk := s.Chunk
-	if chunk <= 0 {
-		chunk = 100 * time.Millisecond
-	}
-
 	// Wire phase: world events fan out to the spine, the plant tick
 	// drives observers then supervision, the operator loop rides the
 	// control period.
@@ -224,7 +220,7 @@ func (s *Session) Run() (Result, error) {
 	s.Plant.Start()
 	s.Observers.RunPhase(PhaseRun, s.Clock.Now())
 	for !s.Supervisor.Done() && s.Clock.Now() < s.Timeout {
-		s.Clock.Advance(chunk)
+		s.Clock.Advance(runChunk)
 	}
 
 	// Teardown phase: stop the loops, clear supervisor effects, close

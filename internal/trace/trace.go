@@ -184,36 +184,11 @@ type Recorder struct {
 	activeFrom  time.Duration
 }
 
-// NewRecorder creates a recorder for a run and hooks the world's
-// collision and lane-invasion callbacks (chaining any already
-// installed). route provides ego/other station coordinates; it may be
-// nil (stations logged as 0).
-//
-// When something else owns the world hooks — the session layer fans
-// them out through its observer spine — use NewPassiveRecorder and
-// forward events via RecordCollision/RecordLaneInvasion instead.
-func NewRecorder(w *world.World, ego *world.Actor, route *geom.Path, log *RunLog) *Recorder {
-	r := NewPassiveRecorder(w, ego, route, log)
-	prevCol := w.OnCollision
-	w.OnCollision = func(ev world.CollisionEvent) {
-		if prevCol != nil {
-			prevCol(ev)
-		}
-		r.RecordCollision(ev)
-	}
-	prevLane := w.OnLaneInvasion
-	w.OnLaneInvasion = func(ev world.LaneInvasionEvent) {
-		if prevLane != nil {
-			prevLane(ev)
-		}
-		r.RecordLaneInvasion(ev)
-	}
-	return r
-}
-
-// NewPassiveRecorder creates a recorder that installs no world hooks:
-// the caller delivers collision and lane-invasion events explicitly
-// through RecordCollision/RecordLaneInvasion.
+// NewPassiveRecorder creates a recorder for a run. It installs no world
+// hooks: the caller delivers collision and lane-invasion events
+// through RecordCollision/RecordLaneInvasion (the session layer fans
+// them out through its observer spine). route provides ego/other
+// station coordinates; it may be nil (stations logged as 0).
 func NewPassiveRecorder(w *world.World, ego *world.Actor, route *geom.Path, log *RunLog) *Recorder {
 	r := &Recorder{Log: log, w: w, ego: ego, route: route}
 	if route != nil {

@@ -33,7 +33,7 @@ func TestRecorderSamplesEgoAndOthers(t *testing.T) {
 	w.SpawnScripted(world.KindCar, "lead", geom.V(4.7, 1.9), rail)
 
 	log := &RunLog{Subject: "T1", Scenario: "follow", RunType: "golden"}
-	rec := NewRecorder(w, ego, route, log)
+	rec := NewPassiveRecorder(w, ego, route, log)
 	ego.Plant.Apply(vehicle.Control{Throttle: 0.5, Steer: 0.1})
 	for i := 0; i < 50; i++ {
 		w.Step(0.02)
@@ -64,7 +64,8 @@ func TestRecorderCapturesCollisionWithLabel(t *testing.T) {
 	w.SpawnScripted(world.KindParkedCar, "obstacle", geom.V(4.7, 1.9), rail)
 
 	log := &RunLog{}
-	rec := NewRecorder(w, ego, route, log)
+	rec := NewPassiveRecorder(w, ego, route, log)
+	w.OnCollision = rec.RecordCollision
 	rec.SetCondition(0, "50ms")
 	ego.Plant.Apply(vehicle.Control{Throttle: 1})
 	for i := 0; i < 200; i++ {
@@ -77,12 +78,18 @@ func TestRecorderCapturesCollisionWithLabel(t *testing.T) {
 	if log.Collisions[0].Label != "50ms" {
 		t.Fatalf("collision label = %q", log.Collisions[0].Label)
 	}
+	// Without an active condition, events carry the NFI label.
+	rec.SetCondition(5*time.Second, "")
+	rec.RecordCollision(world.CollisionEvent{})
+	if log.Collisions[1].Label != "NFI" {
+		t.Fatalf("label = %q", log.Collisions[1].Label)
+	}
 }
 
 func TestConditionSpans(t *testing.T) {
 	log := &RunLog{}
 	w, ego, route := testWorld(t)
-	rec := NewRecorder(w, ego, route, log)
+	rec := NewPassiveRecorder(w, ego, route, log)
 
 	rec.SetCondition(10*time.Second, "5ms")
 	rec.SetCondition(20*time.Second, "") // clear
@@ -186,7 +193,7 @@ func TestRunLogDuration(t *testing.T) {
 func TestRecordFault(t *testing.T) {
 	w, ego, route := testWorld(t)
 	log := &RunLog{}
-	rec := NewRecorder(w, ego, route, log)
+	rec := NewPassiveRecorder(w, ego, route, log)
 	rec.RecordFault(time.Second, "downlink", "add", "delay 50ms", "50ms")
 	rec.RecordFault(2*time.Second, "downlink", "delete", "none", "50ms")
 	if len(log.Faults) != 2 {
@@ -194,32 +201,6 @@ func TestRecordFault(t *testing.T) {
 	}
 	if log.Faults[0].Desc != "delay 50ms" || log.Faults[1].Action != "delete" {
 		t.Fatalf("fault log = %+v", log.Faults)
-	}
-}
-
-func TestRecorderChainsExistingCallbacks(t *testing.T) {
-	w, ego, route := testWorld(t)
-	var direct int
-	w.OnCollision = func(world.CollisionEvent) { direct++ }
-	w.OnLaneInvasion = func(world.LaneInvasionEvent) { direct++ }
-	log := &RunLog{}
-	NewRecorder(w, ego, route, log)
-
-	rail, _ := world.NewRail(route, 8, nil, 1)
-	w.SpawnScripted(world.KindParkedCar, "wall", geom.V(4.7, 1.9), rail)
-	ego.Plant.Apply(vehicle.Control{Throttle: 1})
-	for i := 0; i < 200; i++ {
-		w.Step(0.02)
-	}
-	if direct == 0 {
-		t.Fatal("pre-existing collision callback not chained")
-	}
-	if len(log.Collisions) == 0 {
-		t.Fatal("recorder missed the collision")
-	}
-	// Without an active condition, events carry the NFI label.
-	if log.Collisions[0].Label != "NFI" {
-		t.Fatalf("label = %q", log.Collisions[0].Label)
 	}
 }
 
@@ -238,7 +219,7 @@ func TestExportCSVBadDir(t *testing.T) {
 func TestNilRouteRecorder(t *testing.T) {
 	w, ego, _ := testWorld(t)
 	log := &RunLog{}
-	rec := NewRecorder(w, ego, nil, log)
+	rec := NewPassiveRecorder(w, ego, nil, log)
 	w.Step(0.02)
 	rec.Sample(w.SimTime())
 	if len(log.Ego) != 1 || log.Ego[0].Station != 0 {

@@ -7,13 +7,12 @@
 package validity
 
 import (
-	"context"
 	"fmt"
 	"runtime"
-	"sync"
 	"time"
 
 	"teledrive/internal/netem"
+	"teledrive/internal/pool"
 	"teledrive/internal/telemetry"
 )
 
@@ -35,16 +34,14 @@ type pointJob struct {
 	seed int64
 }
 
-// runPoints executes the planned jobs on a bounded pool and returns
-// the points in job order. The first failure (in job order) cancels
-// outstanding work and is returned.
+// runPoints executes the planned jobs on pool.Run (non-positive
+// workers means GOMAXPROCS) and returns the points in job order. After
+// the first failure no new point starts, and the lowest failing job's
+// error is returned.
 func runPoints(env Env, jobs []pointJob, workers int) ([]Point, error) {
 	pts := make([]Point, len(jobs))
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
 	}
 
 	// Sweep progress instruments (pre-bound; nil handles when the env is
@@ -56,50 +53,33 @@ func runPoints(env Env, jobs []pointJob, workers int) ([]Point, error) {
 		planned.Add(uint64(len(jobs)))
 	}
 
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	queue := make(chan int)
-	errs := make([]error, len(jobs))
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range queue {
-				if ctx.Err() != nil {
-					continue
-				}
-				p, err := RunPoint(env, jobs[i].rule, jobs[i].label, jobs[i].seed)
-				if err != nil {
-					errs[i] = err
-					cancel()
-					continue
-				}
-				pts[i] = p
-				if done != nil {
-					done.Inc()
-				}
-			}
-		}()
-	}
-	for i := range jobs {
-		queue <- i
-	}
-	close(queue)
-	wg.Wait()
-	for i, err := range errs {
+	failed, err := pool.Run(len(jobs), workers, func(_, i int) error {
+		p, err := RunPoint(env, jobs[i].rule, jobs[i].label, jobs[i].seed)
 		if err != nil {
-			return nil, fmt.Errorf("validity: %s %s: %w", env.Name, jobs[i].desc, err)
+			return err
 		}
+		pts[i] = p
+		if done != nil {
+			done.Inc()
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("validity: %s %s: %w", env.Name, jobs[failed].desc, err)
 	}
 	return pts, nil
 }
 
-// SweepWorkers is Sweep with a bounded worker pool: all points
-// (baseline included) are simulated concurrently, then classified and
-// monotone-adjusted sequentially. Results are bit-identical to
-// Sweep's for every workers value.
-func SweepWorkers(env Env, delays []time.Duration, losses []float64, seed int64, workers int) ([]Point, error) {
+// Sweep runs the full §VIII sweep for one environment: the fault-free
+// baseline, then each delay and loss magnitude. Results carry grades.
+// All points (baseline included) are simulated on workers concurrent
+// workers, then classified and monotone-adjusted sequentially, so
+// results are bit-identical for every workers value. Grades within one
+// fault family are monotone non-decreasing in magnitude: the sweep
+// reports threshold claims ("above X ms the drive degrades"), so a
+// higher magnitude is at least as bad as a lower one even when a
+// single seeded run happens to grade milder.
+func Sweep(env Env, delays []time.Duration, losses []float64, seed int64, workers int) ([]Point, error) {
 	jobs := []pointJob{{rule: netem.Rule{}, label: "none", desc: "baseline", seed: seed}}
 	for i, d := range delays {
 		jobs = append(jobs, pointJob{
@@ -120,7 +100,7 @@ func SweepWorkers(env Env, delays []time.Duration, losses []float64, seed int64,
 	pts[0].Grade = DrivOK
 	baseline := pts[0]
 	// Grades within one fault family are monotone non-decreasing in
-	// magnitude (see Sweep).
+	// magnitude.
 	grade := func(from, to int) {
 		worst := DrivOK
 		for k := from; k < to; k++ {
@@ -136,9 +116,14 @@ func SweepWorkers(env Env, delays []time.Duration, losses []float64, seed int64,
 	return pts, nil
 }
 
-// GridSweepWorkers is GridSweep with a bounded worker pool; like
-// SweepWorkers, simulation is concurrent and grading sequential.
-func GridSweepWorkers(env Env, delays []time.Duration, losses []float64, seed int64, workers int) ([]GridPoint, error) {
+// GridSweep evaluates every combination of the given delays and losses
+// — the paper's future-work item "evaluate more combinations of fault
+// models". The zero-fault cell is the baseline for classification, and
+// grades are monotone along each row and column (a combination is at
+// least as bad as either of its components alone). Like Sweep,
+// simulation runs on workers concurrent workers and grading is
+// sequential.
+func GridSweep(env Env, delays []time.Duration, losses []float64, seed int64, workers int) ([]GridPoint, error) {
 	jobs := []pointJob{{rule: netem.Rule{}, label: "none", desc: "grid baseline", seed: seed}}
 	type cellRef struct {
 		di, li, job int

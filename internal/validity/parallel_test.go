@@ -14,26 +14,18 @@ func TestSweepWorkersDeterminism(t *testing.T) {
 	env := ModelVehicle()
 	delays := []time.Duration{20 * time.Millisecond, 80 * time.Millisecond}
 	losses := []float64{0.05}
-	ref, err := SweepWorkers(env, delays, losses, 55, 1)
+	ref, err := Sweep(env, delays, losses, 55, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{4, 0} {
-		pts, err := SweepWorkers(env, delays, losses, 55, w)
+		pts, err := Sweep(env, delays, losses, 55, w)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
 		if !reflect.DeepEqual(pts, ref) {
 			t.Fatalf("workers=%d: sweep points differ from sequential", w)
 		}
-	}
-	// And the legacy entry point is the one-worker path.
-	seq, err := Sweep(env, delays, losses, 55)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(seq, ref) {
-		t.Fatal("Sweep != SweepWorkers(..., 1)")
 	}
 }
 
@@ -43,26 +35,19 @@ func TestGridSweepWorkersDeterminism(t *testing.T) {
 	env := ModelVehicle()
 	delays := []time.Duration{0, 40 * time.Millisecond}
 	losses := []float64{0, 0.05}
-	ref, err := GridSweepWorkers(env, delays, losses, 321, 1)
+	ref, err := GridSweep(env, delays, losses, 321, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ref) != len(delays)*len(losses) {
 		t.Fatalf("grid cells = %d", len(ref))
 	}
-	par, err := GridSweepWorkers(env, delays, losses, 321, 4)
+	par, err := GridSweep(env, delays, losses, 321, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(par, ref) {
 		t.Fatal("parallel grid differs from sequential")
-	}
-	seq, err := GridSweep(env, delays, losses, 321)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(seq, ref) {
-		t.Fatal("GridSweep != GridSweepWorkers(..., 1)")
 	}
 }
 

@@ -230,17 +230,6 @@ func Classify(p, baseline Point) Drivability {
 	}
 }
 
-// Sweep runs the full §VIII sweep for one environment: the fault-free
-// baseline, then each delay and loss magnitude. Results carry grades.
-// Grades within one fault family are monotone non-decreasing in
-// magnitude: the sweep reports threshold claims ("above X ms the
-// drive degrades"), so a higher magnitude is at least as bad as a
-// lower one even when a single seeded run happens to grade milder.
-// Sweep is the sequential (one-worker) form of SweepWorkers.
-func Sweep(env Env, delays []time.Duration, losses []float64, seed int64) ([]Point, error) {
-	return SweepWorkers(env, delays, losses, seed, 1)
-}
-
 // PaperDelays returns the delay magnitudes discussed in §VIII.
 func PaperDelays() []time.Duration {
 	return []time.Duration{
@@ -266,14 +255,4 @@ type GridPoint struct {
 	Delay time.Duration
 	Loss  float64
 	Point Point
-}
-
-// GridSweep evaluates every combination of the given delays and losses
-// — the paper's future-work item "evaluate more combinations of fault
-// models". The zero-fault cell is the baseline for classification, and
-// grades are monotone along each row and column (a combination is at
-// least as bad as either of its components alone). GridSweep is the
-// sequential (one-worker) form of GridSweepWorkers.
-func GridSweep(env Env, delays []time.Duration, losses []float64, seed int64) ([]GridPoint, error) {
-	return GridSweepWorkers(env, delays, losses, seed, 1)
 }

@@ -115,11 +115,11 @@ func TestSweepShape(t *testing.T) {
 	// The headline §VIII claim: the model vehicle degrades at a lower
 	// delay than the simulator. Compare the grade at 100 ms.
 	prof, _ := driver.SubjectByName("T5")
-	simPts, err := Sweep(Simulator(prof), []time.Duration{100 * time.Millisecond}, nil, 17)
+	simPts, err := Sweep(Simulator(prof), []time.Duration{100 * time.Millisecond}, nil, 17, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mvPts, err := Sweep(ModelVehicle(), []time.Duration{100 * time.Millisecond}, nil, 17)
+	mvPts, err := Sweep(ModelVehicle(), []time.Duration{100 * time.Millisecond}, nil, 17, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestGridSweepMonotoneAndComplete(t *testing.T) {
 	prof, _ := driver.SubjectByName("T5")
 	delays := []time.Duration{0, 50 * time.Millisecond, 150 * time.Millisecond}
 	losses := []float64{0, 0.05}
-	grid, err := GridSweep(Simulator(prof), delays, losses, 321)
+	grid, err := GridSweep(Simulator(prof), delays, losses, 321, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestSweepBothAxesAndMonotone(t *testing.T) {
 	env := ModelVehicle()
 	pts, err := Sweep(env,
 		[]time.Duration{10 * time.Millisecond, 80 * time.Millisecond},
-		[]float64{0.02, 0.08}, 55)
+		[]float64{0.02, 0.08}, 55, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
