@@ -11,8 +11,10 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -23,14 +25,17 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "sweep:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+// run executes the sweep: the report goes to stdout, what the ops flags
+// print (progress line, telemetry banner, warnings) to stderr.
+func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
 		envName = fs.String("env", "both", "environment: simulator, model, both")
 		subject = fs.String("subject", "T5", "operator profile for the simulator")
@@ -39,7 +44,8 @@ func run(args []string) error {
 		workers = fs.Int("workers", 0, "parallel sweep-point workers (0 = all CPUs, 1 = sequential); results are identical for any value")
 		ops     = opsflags.Register(fs, "sweep").
 			WithProgress("repaint a live progress line (points done/total, elapsed, ETA) on stderr").
-			WithStrict()
+			WithStrict().
+			WithStderr(stderr)
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -84,25 +90,33 @@ func run(args []string) error {
 			return t
 		}
 	}
-	defer ops.StartProgress("points", sum(planned), sum(done))()
-
+	// The report is held back until every environment has run and the
+	// progress line has ended, so a terminal showing both never gets a
+	// heading appended to a half-painted progress line.
+	stopProgress := ops.StartProgress("points", sum(planned), sum(done))
+	var report bytes.Buffer
 	failed := 0
 	for _, env := range envs {
 		n, err := 0, error(nil)
 		if *grid {
-			n, err = runGrid(env, *seed, *workers)
+			n, err = runGrid(&report, env, *seed, *workers)
 		} else {
-			n, err = runLadders(env, *seed, *workers)
+			n, err = runLadders(&report, env, *seed, *workers)
 		}
 		if err != nil {
+			stopProgress()
 			return err
 		}
 		failed += n
 	}
+	stopProgress()
+	if _, err := report.WriteTo(stdout); err != nil {
+		return err
+	}
 	return ops.CheckStrict(failed)
 }
 
-func runLadders(env validity.Env, seed int64, workers int) (int, error) {
+func runLadders(w io.Writer, env validity.Env, seed int64, workers int) (int, error) {
 	delays := validity.PaperDelays()
 	if env.Name == "model-vehicle" {
 		delays = validity.ModelDelays()
@@ -111,15 +125,15 @@ func runLadders(env validity.Env, seed int64, workers int) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	fmt.Printf("== %s ==\n", env.Name)
-	fmt.Printf("%-12s %-11s %6s %6s %9s %6s %5s\n", "condition", "grade", "SRR", "speed", "lateral", "crash", "dep")
+	fmt.Fprintf(w, "== %s ==\n", env.Name)
+	fmt.Fprintf(w, "%-12s %-11s %6s %6s %9s %6s %5s\n", "condition", "grade", "SRR", "speed", "lateral", "crash", "dep")
 	failed := 0
 	for _, p := range points {
-		fmt.Printf("%-12s %-11s %6.1f %6.2f %9.3f %6d %5d\n",
+		fmt.Fprintf(w, "%-12s %-11s %6.1f %6.2f %9.3f %6d %5d\n",
 			p.Label, p.Grade, p.SRR, p.MeanSpeed, p.MeanAbsLateral, p.Collisions, p.LaneDepartures)
 		failed += p.FailedInjections
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	return failed, nil
 }
 
@@ -139,7 +153,7 @@ func gradeGlyph(g validity.Drivability) string {
 	}
 }
 
-func runGrid(env validity.Env, seed int64, workers int) (int, error) {
+func runGrid(w io.Writer, env validity.Env, seed int64, workers int) (int, error) {
 	delays := []time.Duration{0, 25 * time.Millisecond, 50 * time.Millisecond, 100 * time.Millisecond, 200 * time.Millisecond}
 	losses := []float64{0, 0.02, 0.05, 0.10}
 	if env.Name == "model-vehicle" {
@@ -149,25 +163,25 @@ func runGrid(env validity.Env, seed int64, workers int) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	fmt.Printf("== %s: drivability heat map (. ok, o degraded, X difficult, ### impossible) ==\n", env.Name)
-	fmt.Printf("%12s", "delay \\ loss")
+	fmt.Fprintf(w, "== %s: drivability heat map (. ok, o degraded, X difficult, ### impossible) ==\n", env.Name)
+	fmt.Fprintf(w, "%12s", "delay \\ loss")
 	for _, l := range losses {
-		fmt.Printf("%7.0f%%", l*100)
+		fmt.Fprintf(w, "%7.0f%%", l*100)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	for _, d := range delays {
-		fmt.Printf("%12v", d)
+		fmt.Fprintf(w, "%12v", d)
 		for _, l := range losses {
 			for _, cell := range grid {
 				if cell.Delay == d && cell.Loss == l { //lint:allow floateq grid cells echo the exact values of this losses slice; never recomputed
-					fmt.Printf("%8s", gradeGlyph(cell.Point.Grade))
+					fmt.Fprintf(w, "%8s", gradeGlyph(cell.Point.Grade))
 					break
 				}
 			}
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	failed := 0
 	for _, cell := range grid {
 		failed += cell.Point.FailedInjections

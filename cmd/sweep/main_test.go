@@ -1,8 +1,11 @@
 package main
 
 import (
+	"bytes"
 	"flag"
+	"io"
 	"strings"
+	"sync"
 	"testing"
 
 	"teledrive/internal/opsflags"
@@ -10,10 +13,10 @@ import (
 )
 
 func TestRunErrors(t *testing.T) {
-	if err := run([]string{"-subject", "T99"}); err == nil {
+	if err := run([]string{"-subject", "T99"}, io.Discard, io.Discard); err == nil {
 		t.Fatal("unknown subject accepted")
 	}
-	if err := run([]string{"-env", "mars"}); err == nil {
+	if err := run([]string{"-env", "mars"}, io.Discard, io.Discard); err == nil {
 		t.Fatal("unknown environment accepted")
 	}
 }
@@ -55,5 +58,44 @@ func TestGradeGlyphs(t *testing.T) {
 			t.Fatalf("glyph %q reused", glyph)
 		}
 		seen[glyph] = true
+	}
+}
+
+// terminal is one buffer standing in for a terminal that shows both
+// stdout and stderr; the progress line paints from its own goroutine.
+type terminal struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (t *terminal) Write(p []byte) (int, error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.buf.Write(p)
+}
+
+// TestReportFollowsProgressLine: with stdout and stderr on one terminal,
+// the report prints only after the progress line has ended, so every
+// "== " heading starts a line instead of trailing a half-painted
+// progress line. Both environments run, and the progress line repaints
+// while the first one does.
+func TestReportFollowsProgressLine(t *testing.T) {
+	var term terminal
+	if err := run([]string{"-seed", "3", "-workers", "2"}, &term, &term); err != nil {
+		t.Fatal(err)
+	}
+	out := term.buf.String()
+	if strings.Count(out, "== ") != 2 || !strings.Contains(out, "\rpoints ") {
+		t.Fatalf("want two report headings and a progress line, got:\n%q", out)
+	}
+	for i := strings.Index(out, "== "); i >= 0; {
+		if i > 0 && out[i-1] != '\n' {
+			t.Fatalf("heading at byte %d does not start a line:\n%q", i, out[max(0, i-80):i+20])
+		}
+		next := strings.Index(out[i+3:], "== ")
+		if next < 0 {
+			break
+		}
+		i += 3 + next
 	}
 }

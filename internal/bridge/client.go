@@ -97,7 +97,9 @@ func (c *Client) FrameAge() time.Duration {
 func (c *Client) FrameLatency() time.Duration { return c.latestLat }
 
 // SendControl transmits a driving command to the vehicle. A full send
-// window drops the command (counted), like a congested socket.
+// window drops the command (counted), like a congested socket, and
+// returns the transport's error as is: callers only count it, so a
+// dropped command allocates nothing.
 func (c *Client) SendControl(ctrl vehicle.Control) error {
 	c.ctrlBuf = AppendControlMsg(c.ctrlBuf[:0], ctrl)
 	if err := c.ep.Send(c.ctrlBuf); err != nil {
@@ -105,7 +107,7 @@ func (c *Client) SendControl(ctrl vehicle.Control) error {
 		if c.ins != nil {
 			c.ins.ControlsDropped.Inc()
 		}
-		return fmt.Errorf("bridge: send control: %w", err)
+		return err
 	}
 	c.stats.ControlsSent++
 	if c.ins != nil {

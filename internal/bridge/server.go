@@ -58,7 +58,7 @@ type Server struct {
 
 	// view and frames are reused across camera ticks so the per-frame
 	// capture→marshal→send path does not allocate. Reuse is safe because
-	// transport.Endpoint.Send copies the payload into its wire frames.
+	// transport.Endpoint.SendFill copies the head into its wire frames.
 	view   sensors.WorldView
 	frames sensors.FrameBuffer
 
@@ -221,19 +221,20 @@ func (s *Server) cameraTick(now time.Duration) {
 	}
 	s.cam.CaptureInto(&s.view)
 	keyframe := true
-	var msg []byte
+	var head []byte
+	var fill int
 	if s.deltaStream && s.baseValid && !s.forceKey && s.sinceKey < s.keyframeEvery {
-		msg = s.frames.Delta(byte(MsgDeltaFrame), s.baseView, s.view, s.cam.VideoDeltaBytes)
+		head, fill = s.frames.Delta(byte(MsgDeltaFrame), s.baseView, s.view, s.cam.VideoDeltaBytes)
 		// A diff that does not beat the keyframe (mass actor turnover)
 		// is pure downside — fall back to the self-contained form.
-		if len(msg) < 1+sensors.WorldViewWireSize(s.view) {
+		if len(head)+fill < 1+sensors.WorldViewWireSize(s.view) {
 			keyframe = false
 		}
 	}
 	if keyframe {
-		msg = s.frames.Keyframe(byte(MsgFrame), s.view)
+		head, fill = s.frames.Keyframe(byte(MsgFrame), s.view)
 	}
-	if err := s.ep.Send(msg); err != nil {
+	if err := s.ep.SendFill(head, fill); err != nil {
 		// Send window full: the sender-side socket buffer is congested;
 		// drop this frame like a saturated video encoder queue would.
 		// baseView stays at the last accepted send, keeping the diff
@@ -246,7 +247,7 @@ func (s *Server) cameraTick(now time.Duration) {
 		s.stats.FramesSent++
 		if s.ins != nil {
 			s.ins.FramesSent.Inc()
-			s.ins.PayloadBytes.Add(uint64(len(msg)))
+			s.ins.PayloadBytes.Add(uint64(len(head) + fill))
 		}
 		if s.deltaStream {
 			s.rememberBase(keyframe)

@@ -20,7 +20,7 @@ type Capture struct {
 // CaptureRecord is one captured delivery.
 type CaptureRecord struct {
 	Seq         uint64
-	Size        int
+	Size        int // wire bytes, elided zeros included
 	SentAt      time.Duration
 	DeliveredAt time.Duration
 	Corrupted   bool
@@ -47,7 +47,7 @@ func (c *Capture) Receive(p Packet) {
 	if len(c.records) < c.limit {
 		c.records = append(c.records, CaptureRecord{
 			Seq:         p.Seq,
-			Size:        len(p.Payload),
+			Size:        p.Len(),
 			SentAt:      p.SentAt,
 			DeliveredAt: p.DeliveredAt,
 			Corrupted:   p.Corrupted,

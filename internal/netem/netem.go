@@ -187,12 +187,25 @@ func (r Rule) String() string {
 }
 
 // Packet is a unit of transmission through a Link.
+//
+// A packet's wire bytes are Payload[:ZeroAt], then Zeros zero bytes,
+// then Payload[ZeroAt:]. The zeros are a length, not bytes: a sender
+// whose packet is mostly zeros (the video fill of a camera frame) hands
+// the link only the bytes around them, and the link counts them in
+// every length decision — BytesSent, rate, capture Size and the
+// corrupted bit's position — without copying them. A corrupting bit
+// that lands inside them writes them out: the delivered copy is then
+// dense, with ZeroAt and Zeros zero.
 type Packet struct {
 	// Seq is assigned by the link in Send order (starting at 1).
 	Seq uint64
-	// Payload is the packet body. Delivered payloads are private copies;
-	// corruption mutates only the copy.
+	// Payload is the packet body minus the elided zeros. Delivered
+	// payloads are private copies; corruption mutates only the copy.
 	Payload []byte
+	// ZeroAt is where in Payload the Zeros elided zero bytes sit.
+	ZeroAt int
+	// Zeros counts the zero bytes elided at ZeroAt.
+	Zeros int
 	// SentAt is the simulated time the packet entered the link.
 	SentAt time.Duration
 	// DeliveredAt is the simulated time the packet left the link.
@@ -205,6 +218,17 @@ type Packet struct {
 
 // Latency returns the time the packet spent in the link.
 func (p Packet) Latency() time.Duration { return p.DeliveredAt - p.SentAt }
+
+// Len returns the packet's wire length, elided zeros included.
+func (p Packet) Len() int { return len(p.Payload) + p.Zeros }
+
+// AppendWire appends the packet's wire bytes, elided zeros written out,
+// to dst.
+func (p Packet) AppendWire(dst []byte) []byte {
+	dst = append(dst, p.Payload[:p.ZeroAt]...)
+	dst = append(dst, make([]byte, p.Zeros)...)
+	return append(dst, p.Payload[p.ZeroAt:]...)
+}
 
 // Stats counts link activity since construction.
 type Stats struct {
@@ -325,19 +349,32 @@ func (l *Link) DeleteRule() {
 // Send submits a payload to the link. It reports whether the packet was
 // accepted (false = tail drop or loss; the packet will never arrive).
 // The payload is copied; the caller may reuse the buffer.
-func (l *Link) Send(payload []byte) bool {
+func (l *Link) Send(payload []byte) bool { return l.SendFill(payload, 0, 0) }
+
+// SendFill submits a packet whose wire bytes are payload[:zeroAt], then
+// zeros zero bytes, then payload[zeroAt:] (see Packet). It behaves as
+// Send of those bytes — same RNG draws, timing and counters — but copies
+// only payload. SendFill panics when zeroAt lies outside payload or
+// zeros is negative, a wiring error.
+func (l *Link) SendFill(payload []byte, zeroAt, zeros int) bool {
+	if zeroAt < 0 || zeroAt > len(payload) || zeros < 0 {
+		panic(fmt.Sprintf("netem: %d zeros at %d in a %d-byte payload", zeros, zeroAt, len(payload)))
+	}
 	now := l.clock.Now()
 	seq := l.nextSeq + 1
 	l.nextSeq = seq
+	size := len(payload) + zeros
 	l.stats.Sent++
-	l.stats.BytesSent += uint64(len(payload))
+	l.stats.BytesSent += uint64(size)
 	if l.ins != nil {
 		l.ins.Sent.Inc()
-		l.ins.BytesSent.Add(uint64(len(payload)))
+		l.ins.BytesSent.Add(uint64(size))
 	}
+	pkt := Packet{Seq: seq, ZeroAt: zeroAt, Zeros: zeros, SentAt: now}
 
 	if !l.hasRule {
-		l.deliverAt(now, Packet{Seq: seq, Payload: l.clone(payload), SentAt: now})
+		pkt.Payload = l.clone(payload)
+		l.deliverAt(now, pkt)
 		return true
 	}
 	r := l.rule
@@ -364,12 +401,19 @@ func (l *Link) Send(payload []byte) bool {
 		return false
 	}
 
-	pkt := Packet{Seq: seq, Payload: l.clone(payload), SentAt: now}
+	pkt.Payload = l.clone(payload)
 
-	// 3. Corruption: flip one random bit.
-	if r.Corrupt > 0 && len(pkt.Payload) > 0 && l.rng.Float64() < r.Corrupt {
-		bit := l.rng.Intn(len(pkt.Payload) * 8)
-		pkt.Payload[bit/8] ^= 1 << (bit % 8)
+	// 3. Corruption: flip one random bit of the wire bytes.
+	if r.Corrupt > 0 && size > 0 && l.rng.Float64() < r.Corrupt {
+		bit := l.rng.Intn(size * 8)
+		i := bit / 8
+		switch {
+		case i >= pkt.ZeroAt+pkt.Zeros:
+			i -= pkt.Zeros
+		case i >= pkt.ZeroAt:
+			l.writeZeros(&pkt)
+		}
+		pkt.Payload[i] ^= 1 << (bit % 8)
 		pkt.Corrupted = true
 		l.stats.CorruptedN++
 		if l.ins != nil {
@@ -381,7 +425,7 @@ func (l *Link) Send(payload []byte) bool {
 	// the netem reorder escape hatch.
 	depart := now
 	if r.Rate > 0 {
-		txTime := time.Duration(float64(len(payload)) / r.Rate * float64(time.Second))
+		txTime := time.Duration(float64(size) / r.Rate * float64(time.Second))
 		if l.lastDepart > depart {
 			depart = l.lastDepart
 		}
@@ -551,6 +595,21 @@ func (l *Link) jitterSample(r Rule) time.Duration {
 		d = -r.Delay
 	}
 	return d
+}
+
+// writeZeros makes pkt dense: its payload becomes its wire bytes, the
+// elided zeros written out.
+func (l *Link) writeZeros(pkt *Packet) {
+	var dense []byte
+	if l.bufs != nil {
+		dense = l.bufs.Get(pkt.Len())[:0]
+	}
+	elided := pkt.Payload
+	pkt.Payload = pkt.AppendWire(dense)
+	pkt.ZeroAt, pkt.Zeros = 0, 0
+	if l.bufs != nil {
+		l.bufs.Put(elided)
+	}
 }
 
 // clone copies a payload into a private buffer — pooled when a

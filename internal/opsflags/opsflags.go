@@ -51,6 +51,13 @@ func (f *Flags) WithStrict() *Flags {
 	return f
 }
 
+// WithStderr sends what the flags print — the telemetry banner, the
+// progress line, warnings — to w instead of os.Stderr.
+func (f *Flags) WithStderr(w io.Writer) *Flags {
+	f.stderr = w
+	return f
+}
+
 // Serving reports whether -telemetry-addr is set.
 func (f *Flags) Serving() bool { return *f.addr != "" }
 

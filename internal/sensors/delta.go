@@ -73,13 +73,6 @@ func MarshalWorldViewDelta(base, v WorldView, deltaFill int) []byte {
 	return append(dst, make([]byte, max(deltaFill, 0))...)
 }
 
-// maxDeltaHeadLen bounds the length appendWorldViewDeltaHead appends for
-// a view with n other actors: every entry is at most a tag plus a full
-// actor record.
-func maxDeltaHeadLen(n int) int {
-	return deltaHeaderWireLen + (1+actorWireLen)*(1+n)
-}
-
 // appendWorldViewDeltaHead appends the delta wire form of v relative to
 // base, up to but excluding the zero fill.
 func appendWorldViewDeltaHead(dst []byte, base, v WorldView, deltaFill int) []byte {

@@ -1,57 +1,35 @@
 package sensors
 
-// FrameBuffer encodes world views for the wire into one reused buffer
-// without clearing the video fill on every frame. It keeps one
-// invariant: every byte from mark up to the buffer's end is zero. A
-// frame writes its message kind, header and actor records below some
-// end e, clears only [e, old mark) — the previous frame's longer
-// records, a few hundred bytes — and sets mark to e; the fill after e
-// is then zero already. The fill is 6–24 kB a frame, so this is the
-// difference between clearing a frame and clearing its records.
+// FrameBuffer encodes world views for the wire into one reused buffer.
+// It returns a frame as its head — the message kind, header and actor
+// records — plus the length of the video fill that follows it. The fill
+// is all zeros by the wire contract and 6–24 kB a frame, so it never
+// exists as bytes on the send path: transport.Endpoint.SendFill carries
+// it as a count. head followed by fill zero bytes is the frame.
 //
-// The returned slice is valid until the next call and must not be
-// written to, which would break the invariant; a consumer copies what it
-// keeps (transport.Endpoint.Send does). The zero value is ready to use.
+// The returned head is valid until the next call; a consumer copies what
+// it keeps (SendFill does). The zero value is ready to use.
 type FrameBuffer struct {
-	buf  []byte // len(buf) == cap(buf)
-	mark int
+	buf []byte
 }
 
-// Keyframe returns kind followed by MarshalWorldView(v).
-func (b *FrameBuffer) Keyframe(kind byte, v WorldView) []byte {
-	n := 1 + WorldViewWireSize(v)
-	b.reserve(n)
-	b.buf[0] = kind
-	end := 1 + putWorldViewHead(b.buf[1:], v)
-	return b.seal(end, n)
+// Keyframe returns kind followed by MarshalWorldView(v), as a head and
+// a fill length.
+func (b *FrameBuffer) Keyframe(kind byte, v WorldView) (head []byte, fill int) {
+	fill = max(v.VideoFill, 0)
+	n := 1 + WorldViewWireSize(v) - fill
+	if n > cap(b.buf) {
+		b.buf = make([]byte, n+n/4)
+	}
+	head = b.buf[:n]
+	head[0] = kind
+	putWorldViewHead(head[1:], v)
+	return head, fill
 }
 
 // Delta returns kind followed by MarshalWorldViewDelta(base, v,
-// deltaFill).
-func (b *FrameBuffer) Delta(kind byte, base, v WorldView, deltaFill int) []byte {
-	fill := max(deltaFill, 0)
-	b.reserve(1 + maxDeltaHeadLen(len(v.Others)) + fill)
-	// Capacity covers the worst-case records, so the appends stay in
-	// b.buf.
-	head := appendWorldViewDeltaHead(append(b.buf[:0], kind), base, v, fill)
-	return b.seal(len(head), len(head)+fill)
-}
-
-// reserve makes the buffer at least n bytes long. A new buffer is zero
-// throughout, so mark restarts at 0.
-func (b *FrameBuffer) reserve(n int) {
-	if n > len(b.buf) {
-		b.buf = make([]byte, n+n/4)
-		b.mark = 0
-	}
-}
-
-// seal restores the invariant after a frame wrote buf[:end] and returns
-// the frame, buf[:n].
-func (b *FrameBuffer) seal(end, n int) []byte {
-	if end < b.mark {
-		clear(b.buf[end:b.mark])
-	}
-	b.mark = end
-	return b.buf[:n]
+// deltaFill), as a head and a fill length.
+func (b *FrameBuffer) Delta(kind byte, base, v WorldView, deltaFill int) (head []byte, fill int) {
+	b.buf = appendWorldViewDeltaHead(append(b.buf[:0], kind), base, v, deltaFill)
+	return b.buf, max(deltaFill, 0)
 }

@@ -1,6 +1,7 @@
 package sensors
 
 import (
+	"bytes"
 	"math"
 	"reflect"
 	"testing"
@@ -176,7 +177,8 @@ func TestMarshalWorldViewAppendMatchesMarshal(t *testing.T) {
 	var frames FrameBuffer
 	for _, v := range views {
 		want := MarshalWorldView(v)
-		got := frames.Keyframe(0xAA, v)
+		head, fill := frames.Keyframe(0xAA, v)
+		got := append(bytes.Clone(head), make([]byte, fill)...)
 		if got[0] != 0xAA {
 			t.Fatalf("kind byte = %#x, want 0xaa", got[0])
 		}

@@ -24,7 +24,9 @@ const (
 )
 
 // ErrWindowFull is returned by Send when the reliable channel has too
-// many unacknowledged messages in flight.
+// many unacknowledged messages in flight. It is returned bare, so a
+// rejected Send allocates nothing; Stats().WindowRejects and InFlight
+// carry the detail.
 var ErrWindowFull = errors.New("transport: send window full")
 
 // MTU is the maximum fragment payload carried in one network packet.
@@ -147,27 +149,34 @@ type Endpoint struct {
 }
 
 // partialMsg reassembles one fragmented message in place: chunk idx
-// lands at buf[idx*MTU:], so the complete message is buf[:total].
+// lands at buf[idx*MTU:], so the complete message is buf[:total]. buf
+// comes from the zeroed pool (see Pools), so a chunk's elided zeros are
+// in place already; only its head bytes are written.
 type partialMsg struct {
 	buf     []byte
 	got     []bool // per chunk index
 	have    int
 	total   int // message length, known once the last chunk arrives
+	dirty   int // buf[dirty:] was never written
 	firstTS time.Duration
 }
 
-// segment is one unacknowledged fragment. wire holds its encoded frame:
-// a retransmission resends it verbatim (it carries the original send
-// time, as the latency accounting wants).
+// segment is one unacknowledged fragment. wire holds its encoded frame
+// without the chunk's trailing zero bytes, which zeros counts; they sit
+// just before the CRC trailer. transmit sends it; a retransmission
+// resends it verbatim (it carries the original send time, as the
+// latency accounting wants).
 type segment struct {
 	seq    uint64
 	wire   []byte
+	zeros  int
 	sentAt time.Duration
 	rtx    bool // retransmitted at least once (Karn's rule)
 }
 
 type heldMsg struct {
 	payload []byte
+	zeros   int // elided zeros after payload
 	sentAt  time.Duration
 }
 
@@ -221,22 +230,28 @@ func (e *Endpoint) Cwnd() float64 { return e.cwnd }
 // chunks. A larger count can only come from a hostile frame.
 const maxFragments = (MaxPayload + MTU - 1) / MTU
 
-// chunk returns fragment i's slice of payload.
-func chunk(payload []byte, i int) []byte {
-	return payload[i*MTU : min(len(payload), (i+1)*MTU)]
+// chunk splits fragment i of a message — head followed by fill zeros —
+// into the head bytes it carries and the count of zeros after them.
+func chunk(head []byte, fill, i int) (c []byte, zeros int) {
+	lo := i * MTU
+	hi := min(len(head)+fill, lo+MTU)
+	c = head[min(lo, len(head)):min(hi, len(head))]
+	return c, hi - lo - len(c)
 }
 
-// fragFrameLen is the wire length of a fragment frame carrying n chunk
-// bytes.
+// fragFrameLen is the length of a fragment frame carrying n chunk
+// bytes, elided zeros not counted.
 func fragFrameLen(n int) int { return frameOverhead + fragHeaderLen + n }
 
 // putFragment encodes fragment idx of count — frame header, fragment
-// header flags(1) msgID(4) fragIdx(2) fragCount(2), chunk and CRC — in
-// one pass into buf, which must be fragFrameLen(len(chunk)) bytes. The
-// bytes equal EncodeFrame of a frame whose payload is the fragment
-// header followed by the chunk.
-func putFragment(buf []byte, typ FrameType, seq uint64, ts time.Duration, msgID uint32, idx, count int, chunk []byte) {
-	putHeader(buf, typ, seq, ts, fragHeaderLen+len(chunk))
+// header flags(1) msgID(4) fragIdx(2) fragCount(2), chunk, zeros zero
+// bytes and CRC — in one pass into buf, which must be
+// fragFrameLen(len(chunk)) bytes: the zeros are left out of buf and
+// folded into the CRC by table. With the zeros written out before the
+// trailer, the bytes equal EncodeFrame of a frame whose payload is the
+// fragment header followed by the chunk and the zeros.
+func putFragment(buf []byte, typ FrameType, seq uint64, ts time.Duration, msgID uint32, idx, count int, chunk []byte, zeros int) {
+	putHeader(buf, typ, seq, ts, fragHeaderLen+len(chunk)+zeros)
 	h := buf[headerLen:]
 	h[0] = 0
 	if idx == count-1 {
@@ -246,7 +261,26 @@ func putFragment(buf []byte, typ FrameType, seq uint64, ts time.Duration, msgID 
 	binary.BigEndian.PutUint16(h[5:7], uint16(idx))
 	binary.BigEndian.PutUint16(h[7:9], uint16(count))
 	copy(h[fragHeaderLen:], chunk)
-	putTrailer(buf)
+	body := len(buf) - trailerLen
+	binary.BigEndian.PutUint32(buf[body:], checksumZeros(buf[:body], zeros))
+}
+
+// encodeFragment encodes fragment idx of count of a message into a
+// pooled wire buffer and returns it with its elided zero count.
+func (e *Endpoint) encodeFragment(typ FrameType, now time.Duration, msgID uint32, idx, count int, head []byte, fill int) (wire []byte, zeros int) {
+	c, zeros := chunk(head, fill, idx)
+	wire = e.pools.Net.Get(fragFrameLen(len(c)))
+	putFragment(wire, typ, e.nextSeq, now, msgID, idx, count, c, zeros)
+	e.nextSeq++
+	e.stats.FragmentsSent++
+	return wire, zeros
+}
+
+// transmit puts one fragment frame on the wire, its zeros elided just
+// before the CRC trailer. Every send of a fragment goes through here —
+// a datagram, a segment's first send, a fast retransmit, an RTO.
+func (e *Endpoint) transmit(wire []byte, zeros int) {
+	e.out.SendFill(wire, len(wire)-trailerLen, zeros) // netem clones
 }
 
 // cloneFrag copies a held frame payload into pooled storage.
@@ -290,26 +324,32 @@ func (e *Endpoint) InFlight() int { return len(e.unacked) }
 // the message's fragments do not fit in the unacknowledged window; in
 // datagram mode it never fails (fragments may silently be lost, losing
 // the whole message).
-func (e *Endpoint) Send(payload []byte) error {
+func (e *Endpoint) Send(payload []byte) error { return e.SendFill(payload, 0) }
+
+// SendFill sends the message head followed by fill zero bytes, exactly
+// as Send would, without the zeros ever being copied or read: each
+// fragment's buffer holds only its share of head, and its CRC folds
+// its zeros by table. The receiver delivers the same bytes as for Send.
+func (e *Endpoint) SendFill(head []byte, fill int) error {
 	if e.out == nil {
 		return fmt.Errorf("transport: %s: no link attached", e.opts.Name)
 	}
-	if len(payload) > MaxPayload {
-		return fmt.Errorf("%w: %d bytes", ErrPayloadTooBig, len(payload))
+	if fill < 0 {
+		return fmt.Errorf("transport: %s: negative fill %d", e.opts.Name, fill)
+	}
+	size := len(head) + fill
+	if size > MaxPayload {
+		return fmt.Errorf("%w: %d bytes", ErrPayloadTooBig, size)
 	}
 	now := e.clock.Now()
 	e.nextMsgID++
 	msgID := e.nextMsgID
-	n := max(1, (len(payload)+MTU-1)/MTU) // fragments; an empty message still takes one
+	n := max(1, (size+MTU-1)/MTU) // fragments; an empty message still takes one
 
 	if !e.opts.Reliable {
 		for i := 0; i < n; i++ {
-			c := chunk(payload, i)
-			wire := e.pools.Net.Get(fragFrameLen(len(c)))
-			putFragment(wire, FrameDatagram, e.nextSeq, now, msgID, i, n, c)
-			e.nextSeq++
-			e.stats.FragmentsSent++
-			e.out.Send(wire) // netem clones
+			wire, zeros := e.encodeFragment(FrameDatagram, now, msgID, i, n, head, fill)
+			e.transmit(wire, zeros)
 			e.pools.Net.Put(wire)
 		}
 		e.stats.MsgsSent++
@@ -323,22 +363,18 @@ func (e *Endpoint) Send(payload []byte) error {
 	if e.opts.Congestion {
 		if len(e.unacked) >= e.sendWindow() {
 			e.stats.WindowRejects++
-			return fmt.Errorf("%w (%s: %d in flight, cwnd %d)", ErrWindowFull, e.opts.Name, len(e.unacked), e.sendWindow())
+			return ErrWindowFull
 		}
 	} else if len(e.unacked)+n > e.opts.Window {
 		e.stats.WindowRejects++
-		return fmt.Errorf("%w (%s: %d in flight, %d new, window %d)", ErrWindowFull, e.opts.Name, len(e.unacked), n, e.opts.Window)
+		return ErrWindowFull
 	}
 	for i := 0; i < n; i++ {
-		c := chunk(payload, i)
 		seg := e.pools.seg()
 		seg.seq, seg.sentAt = e.nextSeq, now
-		seg.wire = e.pools.Net.Get(fragFrameLen(len(c)))
-		putFragment(seg.wire, FrameData, seg.seq, now, msgID, i, n, c)
-		e.nextSeq++
+		seg.wire, seg.zeros = e.encodeFragment(FrameData, now, msgID, i, n, head, fill)
 		e.unacked = append(e.unacked, seg)
-		e.stats.FragmentsSent++
-		e.out.Send(seg.wire)
+		e.transmit(seg.wire, seg.zeros)
 	}
 	e.stats.MsgsSent++
 	if e.rtxTimer.Stopped() {
@@ -349,8 +385,18 @@ func (e *Endpoint) Send(payload []byte) error {
 
 // HandlePacket is the netem receiver for the endpoint's ingress link:
 // wire it as the peer link's delivery callback.
+//
+// Only transmit elides zeros, and only as a fragment's trailing chunk
+// bytes, right before the CRC trailer. A packet that elides them
+// anywhere else, or whose ZeroAt or Zeros is out of range, is corrupt.
 func (e *Endpoint) HandlePacket(pkt netem.Packet) {
-	f, err := DecodeFrame(pkt.Payload)
+	buf, zeros := pkt.Payload, pkt.Zeros
+	at := pkt.ZeroAt
+	if at < 0 || at > len(buf) || zeros < 0 || zeros > MaxPayload || (zeros > 0 && at != len(buf)-trailerLen) {
+		e.stats.CorruptDropped++
+		return
+	}
+	f, err := decodeFrame(buf, zeros)
 	if err != nil {
 		// Corrupt frames are indistinguishable from loss, as on a real
 		// NIC that drops bad-checksum packets.
@@ -361,21 +407,23 @@ func (e *Endpoint) HandlePacket(pkt netem.Packet) {
 	case FrameAck:
 		e.handleAck(f)
 	case FrameData:
-		e.handleData(f)
+		e.handleData(f, zeros)
 	case FrameDatagram:
-		e.handleDatagram(f)
+		e.acceptFragment(f.Payload, zeros, f.Timestamp, e.clock.Now())
 	default:
 		e.stats.CorruptDropped++
 	}
 }
 
-func (e *Endpoint) handleData(f Frame) {
+// handleData takes a reliable fragment frame whose payload is followed
+// by zeros elided zero bytes.
+func (e *Endpoint) handleData(f Frame, zeros int) {
 	now := e.clock.Now()
 	switch {
 	case f.Seq < e.nextExpected:
 		e.stats.DuplicateDrops++
 	case f.Seq == e.nextExpected:
-		e.acceptFragment(f.Payload, f.Timestamp, now)
+		e.acceptFragment(f.Payload, zeros, f.Timestamp, now)
 		e.nextExpected++
 		// Flush any consecutive held fragments. acceptFragment copies
 		// what it keeps, so the held buffer is free afterwards.
@@ -385,13 +433,13 @@ func (e *Endpoint) handleData(f Frame) {
 				break
 			}
 			delete(e.held, e.nextExpected)
-			e.acceptFragment(h.payload, h.sentAt, now)
+			e.acceptFragment(h.payload, h.zeros, h.sentAt, now)
 			e.pools.Net.Put(h.payload)
 			e.nextExpected++
 		}
 	default: // gap: hold until the missing segment arrives
 		if _, dup := e.held[f.Seq]; !dup {
-			e.held[f.Seq] = heldMsg{payload: e.cloneFrag(f.Payload), sentAt: f.Timestamp}
+			e.held[f.Seq] = heldMsg{payload: e.cloneFrag(f.Payload), zeros: zeros, sentAt: f.Timestamp}
 			e.stats.OutOfOrderHeld++
 		} else {
 			e.stats.DuplicateDrops++
@@ -400,27 +448,33 @@ func (e *Endpoint) handleData(f Frame) {
 	e.sendAck()
 }
 
-func (e *Endpoint) handleDatagram(f Frame) {
-	e.acceptFragment(f.Payload, f.Timestamp, e.clock.Now())
-}
-
-// acceptFragment feeds one received fragment into the reassembler and
-// delivers the message once every fragment is present. The delivered
-// latency spans from the earliest fragment's send time — so a frame
-// delayed by a retransmitted fragment carries the whole stall.
+// acceptFragment feeds one received fragment — buf, then zeros elided
+// zero bytes — into the reassembler and delivers the message once every
+// fragment is present. The delivered latency spans from the earliest
+// fragment's send time — so a frame delayed by a retransmitted fragment
+// carries the whole stall.
 //
 // Only putFragment produces fragments, so every chunk but the last is
 // exactly MTU bytes and the last is at most MTU; a fragment breaking
-// that geometry is corrupt. A one-fragment message is delivered straight
-// from buf.
-func (e *Endpoint) acceptFragment(buf []byte, ts, now time.Duration) {
+// that geometry is corrupt. A one-fragment message without zeros is
+// delivered straight from buf.
+func (e *Endpoint) acceptFragment(buf []byte, zeros int, ts, now time.Duration) {
 	msgID, idx, count, c, ok := parseFragment(buf)
-	if !ok || count > maxFragments || len(c) > MTU || (idx < count-1 && len(c) != MTU) {
+	n := len(c) + zeros
+	if !ok || count > maxFragments || n > MTU || (idx < count-1 && n != MTU) {
 		e.stats.CorruptDropped++
 		return
 	}
 	if count == 1 {
-		e.complete(msgID, c, ts, now)
+		if zeros == 0 {
+			e.complete(msgID, c, ts, now)
+			return
+		}
+		msg := e.pools.zero.Get(n)
+		copy(msg, c)
+		e.complete(msgID, msg, ts, now)
+		clear(msg[:len(c)])
+		e.pools.zero.Put(msg)
 		return
 	}
 	p := e.partials[msgID]
@@ -447,8 +501,9 @@ func (e *Endpoint) acceptFragment(buf []byte, ts, now time.Duration) {
 	p.got[idx] = true
 	p.have++
 	copy(p.buf[idx*MTU:], c)
+	p.dirty = max(p.dirty, idx*MTU+len(c))
 	if idx == count-1 {
-		p.total = idx*MTU + len(c)
+		p.total = idx*MTU + n
 	}
 	if p.have < count {
 		return
@@ -554,7 +609,7 @@ func (e *Endpoint) handleAck(f Frame) {
 			seg := e.unacked[0]
 			seg.rtx = true
 			e.stats.Retransmits++
-			e.out.Send(seg.wire)
+			e.transmit(seg.wire, seg.zeros)
 			if e.opts.Congestion {
 				// Fast recovery: multiplicative decrease.
 				e.ssthresh = e.cwnd / 2
@@ -615,7 +670,7 @@ func (e *Endpoint) onTimeout(now time.Duration) {
 	seg := e.unacked[0]
 	seg.rtx = true
 	e.stats.Retransmits++
-	e.out.Send(seg.wire) // carries the original timestamp for latency accounting
+	e.transmit(seg.wire, seg.zeros) // carries the original timestamp for latency accounting
 	if e.opts.Congestion {
 		// RTO: collapse to one segment, as Reno does.
 		e.ssthresh = e.cwnd / 2

@@ -106,7 +106,13 @@ func putTrailer(buf []byte) {
 
 // DecodeFrame parses a wire buffer produced by EncodeFrame. The returned
 // payload aliases buf.
-func DecodeFrame(buf []byte) (Frame, error) {
+func DecodeFrame(buf []byte) (Frame, error) { return decodeFrame(buf, 0) }
+
+// decodeFrame parses a frame whose body ends in zeros zero bytes that
+// buf leaves out: the frame's bytes are buf's body, then the zeros, then
+// buf's trailer. The returned payload aliases buf and stops before the
+// zeros.
+func decodeFrame(buf []byte, zeros int) (Frame, error) {
 	if len(buf) < frameOverhead {
 		return Frame{}, fmt.Errorf("%w: %d bytes", ErrShortFrame, len(buf))
 	}
@@ -114,18 +120,23 @@ func DecodeFrame(buf []byte) (Frame, error) {
 		return Frame{}, fmt.Errorf("%w: bad magic", ErrCorruptFrame)
 	}
 	plen := binary.BigEndian.Uint32(buf[19:23])
-	if plen > MaxPayload || int(plen) != len(buf)-frameOverhead {
-		return Frame{}, fmt.Errorf("%w: bad length %d for %d-byte frame", ErrCorruptFrame, plen, len(buf))
+	body := len(buf) - trailerLen
+	if plen > MaxPayload || int(plen) != body+zeros-headerLen {
+		return Frame{}, fmt.Errorf("%w: bad length %d for %d-byte frame", ErrCorruptFrame, plen, len(buf)+zeros)
 	}
-	body := buf[:headerLen+int(plen)]
-	want := binary.BigEndian.Uint32(buf[headerLen+int(plen):])
-	if checksum(body) != want {
+	var sum uint32
+	if zeros > 0 {
+		sum = checksumZeros(buf[:body], zeros)
+	} else {
+		sum = checksum(buf[:body])
+	}
+	if sum != binary.BigEndian.Uint32(buf[body:]) {
 		return Frame{}, fmt.Errorf("%w: crc mismatch", ErrCorruptFrame)
 	}
 	return Frame{
 		Type:      FrameType(buf[2]),
 		Seq:       binary.BigEndian.Uint64(buf[3:11]),
 		Timestamp: time.Duration(binary.BigEndian.Uint64(buf[11:19])),
-		Payload:   buf[headerLen : headerLen+int(plen)],
+		Payload:   buf[headerLen:body],
 	}, nil
 }

@@ -4,6 +4,7 @@ package transport
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"time"
 
@@ -55,5 +56,29 @@ func TestTransportSteadyStateAllocs(t *testing.T) {
 	}
 	if conn.A.InFlight() != 0 || delivered != 121*len(msg) {
 		t.Fatalf("in flight %d, delivered %d bytes, want 0 and %d", conn.A.InFlight(), delivered, 121*len(msg))
+	}
+}
+
+// TestWindowFullRejectAllocs: a Send that a full window rejects — fixed
+// window or congestion window — returns the bare ErrWindowFull and
+// allocates nothing; the bridge drops frames on that path under every
+// sustained fault.
+func TestWindowFullRejectAllocs(t *testing.T) {
+	for _, congestion := range []bool{false, true} {
+		clk := simclock.New()
+		conn := Connect(clk, 1, Options{Reliable: true, Window: 4, Congestion: congestion},
+			func([]byte, uint64, time.Duration) {}, func([]byte, uint64, time.Duration) {})
+		if err := conn.A.SendFill(nil, 4*MTU); err != nil {
+			t.Fatal(err)
+		}
+		head := []byte("frame head")
+		n := testing.AllocsPerRun(100, func() {
+			if err := conn.A.SendFill(head, 24<<10); !errors.Is(err, ErrWindowFull) {
+				t.Fatalf("congestion=%v: err = %v, want ErrWindowFull", congestion, err)
+			}
+		})
+		if n != 0 {
+			t.Errorf("congestion=%v: a rejected Send allocates %v objects, want 0", congestion, n)
+		}
 	}
 }

@@ -91,7 +91,7 @@ func TestEveryBitFlipDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 	zeroFrag := make([]byte, fragFrameLen(MTU))
-	putFragment(zeroFrag, FrameData, 99, time.Second, 7, 3, 18, make([]byte, MTU))
+	putFragment(zeroFrag, FrameData, 99, time.Second, 7, 3, 18, make([]byte, MTU), 0)
 	for _, buf := range [][]byte{text, zeroFrag} {
 		if _, err := DecodeFrame(buf); err != nil {
 			t.Fatalf("intact %d-byte frame rejected: %v", len(buf), err)

@@ -40,7 +40,7 @@ func FuzzDecodeFrame(f *testing.F) {
 // putFragment writes for one fragment.
 func fragPayload(msgID uint32, idx, count int, chunk []byte) []byte {
 	buf := make([]byte, fragFrameLen(len(chunk)))
-	putFragment(buf, FrameData, 1, 0, msgID, idx, count, chunk)
+	putFragment(buf, FrameData, 1, 0, msgID, idx, count, chunk, 0)
 	return buf[headerLen : len(buf)-trailerLen]
 }
 
@@ -69,7 +69,7 @@ func FuzzParseFragment(f *testing.F) {
 			return
 		}
 		wire := make([]byte, fragFrameLen(len(chunk)))
-		putFragment(wire, FrameData, 9, time.Second, msgID, idx, count, chunk)
+		putFragment(wire, FrameData, 9, time.Second, msgID, idx, count, chunk, 0)
 		fr, err := DecodeFrame(wire)
 		if err != nil {
 			t.Fatalf("re-encoded fragment does not decode: %v", err)
@@ -91,13 +91,26 @@ func rxFrame(typ, seq, msgID, idx, count, lenSel byte) []byte {
 	return []byte{1, typ, seq, msgID, idx, count, lenSel, 0x5A}
 }
 
-// FuzzEndpointReceive feeds arbitrary frame streams to the HandlePacket
+// hostileZeroAt and hostileZeros are the elision fields op 3 of
+// FuzzEndpointReceive picks from, indexed by a byte: in range or not,
+// negative and huge. A negative entry below -1 is relative to the
+// payload's length.
+var (
+	hostileZeroAt = []int{-1, 0, -2, -5, -6, -7, 1 << 40, -1 << 40}
+	hostileZeros  = []int{-1, 0, 1, MTU, MaxPayload, MaxPayload + 1, 1 << 40, -1 << 40}
+)
+
+// FuzzEndpointReceive feeds arbitrary packet streams to the HandlePacket
 // of a reliable and of a datagram endpoint. Nothing may panic, and no
-// frame may be silently lost: each one is counted (corrupt, duplicate,
+// packet may be silently lost: each one is counted (corrupt, duplicate,
 // held out of order, an ACK), completes a delivery, or is stored as a
-// reassembly chunk. Input ops: 0 mod 4 is a raw frame (a length byte,
+// reassembly chunk; a packet whose ZeroAt or Zeros is out of range is
+// counted corrupt. Input ops: 0 mod 4 is a raw frame (a length byte,
 // then the bytes); anything else is a valid-CRC fragment frame built
-// from the next seven bytes, so the fuzzer reaches the reassembler.
+// from the next seven bytes, so the fuzzer reaches the reassembler. Op
+// 2 mod 4 elides the frame's chunk, when it is zeros, as transmit does;
+// op 3 mod 4 takes two more bytes that pick its ZeroAt and Zeros from
+// the hostile tables.
 func FuzzEndpointReceive(f *testing.F) {
 	two := append(rxFrame(byte(FrameData), 1, 3, 0, 2, 0), rxFrame(byte(FrameData), 2, 3, 1, 2, 40)...)
 	f.Add(two)
@@ -111,9 +124,12 @@ func FuzzEndpointReceive(f *testing.F) {
 	f.Add(append(rxFrame(byte(FrameData), 1, 3, 0, 2, 0), rxFrame(byte(FrameData), 2, 3, 0, 2, 0)...)) // same chunk, new seq
 	f.Add([]byte{0, 5, 0x7D, 0x5A, 1, 2, 3})                                                           // raw garbage
 	f.Add(append(rxFrame(byte(FrameAck), 0, 0, 0, 0, 3), rxFrame(9, 1, 0, 0, 1, 3)...))
+	f.Add([]byte{2, byte(FrameData), 1, 3, 0, 2, 0, 0, 2, byte(FrameData), 2, 3, 1, 2, 40, 0})            // elided zeros, reassembled
+	f.Add([]byte{2, byte(FrameDatagram), 1, 5, 0, 1, 9, 0})                                               // elided one-fragment message
+	f.Add([]byte{3, byte(FrameData), 1, 3, 0, 2, 0, 0, 3, 2, 3, byte(FrameData), 1, 3, 0, 2, 0, 0, 0, 6}) // hostile fields
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var frames [][]byte
+		var pkts []netem.Packet
 		for len(data) > 0 {
 			op := data[0]
 			data = data[1:]
@@ -122,11 +138,11 @@ func FuzzEndpointReceive(f *testing.F) {
 					break
 				}
 				n := min(int(data[0]), len(data)-1)
-				frames = append(frames, data[1:1+n])
+				pkts = append(pkts, netem.Packet{Payload: data[1 : 1+n]})
 				data = data[1+n:]
 				continue
 			}
-			if len(data) < 7 {
+			if len(data) < 7 || (op%4 == 3 && len(data) < 9) {
 				break
 			}
 			typ, seq, msgID, idx, count, lenSel, fill := data[0], data[1], data[2], data[3], data[4], data[5], data[6]
@@ -147,7 +163,22 @@ func FuzzEndpointReceive(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			frames = append(frames, wire)
+			pkt := netem.Packet{Payload: wire}
+			switch op % 4 {
+			case 2:
+				if fill == 0 {
+					body := len(wire) - trailerLen
+					pkt = netem.Packet{Payload: append(wire[:body-n:body-n], wire[body:]...), ZeroAt: body - n, Zeros: n}
+				}
+			case 3:
+				pkt.ZeroAt = hostileZeroAt[int(data[0])%len(hostileZeroAt)]
+				if pkt.ZeroAt < -1 && pkt.ZeroAt > -8 {
+					pkt.ZeroAt += len(wire) + 1
+				}
+				pkt.Zeros = hostileZeros[int(data[1])%len(hostileZeros)]
+				data = data[2:]
+			}
+			pkts = append(pkts, pkt)
 		}
 		for _, reliable := range []bool{true, false} {
 			clk := simclock.New()
@@ -157,28 +188,41 @@ func FuzzEndpointReceive(f *testing.F) {
 				}
 			})
 			ep.AttachLink(netem.NewLink("sink", clk, 1, func(netem.Packet) {}))
-			for i, wire := range frames {
+			for i, pkt := range pkts {
 				before := ep.Stats()
-				stored := chunkStored(ep, wire)
-				ep.HandlePacket(netem.Packet{Payload: wire})
+				stored := chunkStored(ep, pkt)
+				ep.HandlePacket(pkt)
 				after := ep.Stats()
+				if !elisionInRange(pkt) && after.CorruptDropped != before.CorruptDropped+1 {
+					t.Fatalf("reliable=%v: packet %d (%d zeros at %d of %d B) not counted corrupt", reliable, i, pkt.Zeros, pkt.ZeroAt, len(pkt.Payload))
+				}
 				counted := after.CorruptDropped > before.CorruptDropped ||
 					after.DuplicateDrops > before.DuplicateDrops ||
 					after.OutOfOrderHeld > before.OutOfOrderHeld ||
 					after.AcksReceived > before.AcksReceived ||
 					after.MsgsDelivered > before.MsgsDelivered
-				if !counted && (stored || !chunkStored(ep, wire)) {
-					t.Fatalf("reliable=%v: frame %d (%d B, header %x) silently lost", reliable, i, len(wire), wire[:min(len(wire), headerLen)])
+				if !counted && (stored || !chunkStored(ep, pkt)) {
+					t.Fatalf("reliable=%v: packet %d (%d B, header %x) silently lost", reliable, i, len(pkt.Payload), pkt.Payload[:min(len(pkt.Payload), headerLen)])
 				}
 			}
+			assertZeroPool(t, ep, 8*MTU) // count is taken mod 8
 		}
 	})
 }
 
-// chunkStored reports whether wire decodes to a fragment whose chunk the
-// endpoint holds in a partial message.
-func chunkStored(e *Endpoint, wire []byte) bool {
-	fr, err := DecodeFrame(wire)
+// elisionInRange reports whether pkt's elided zeros lie inside its
+// payload, so its wire bytes exist.
+func elisionInRange(pkt netem.Packet) bool {
+	return pkt.ZeroAt >= 0 && pkt.ZeroAt <= len(pkt.Payload) && pkt.Zeros >= 0 && pkt.Zeros <= MaxPayload
+}
+
+// chunkStored reports whether pkt's wire bytes decode to a fragment
+// whose chunk the endpoint holds in a partial message.
+func chunkStored(e *Endpoint, pkt netem.Packet) bool {
+	if !elisionInRange(pkt) {
+		return false
+	}
+	fr, err := DecodeFrame(pkt.AppendWire(nil))
 	if err != nil {
 		return false
 	}

@@ -3,9 +3,9 @@ package transport
 import "teledrive/internal/netem"
 
 // Pools is the shared buffer economy of one simulation's transport
-// stack: segment records and reassembly state, plus the netem payload
-// pool that also holds every transport byte buffer — segment wire
-// frames, held out-of-order frames and reassembly buffers. One Pools
+// stack: segment records and reassembly state, the netem payload pool
+// that also holds segment wire frames and held out-of-order frames, and
+// the zeroed pool of reassembly buffers. One Pools
 // serves both endpoints of a Conn — the simulation loop is
 // single-threaded, so there is no contention — and survives across runs
 // when owned by a session.RunScratch, which is what makes the second
@@ -17,6 +17,11 @@ type Pools struct {
 	// Net recycles byte buffers: packet payload clones inside the netem
 	// links and the endpoints' own buffers.
 	Net *netem.BufferPool
+	// zero recycles reassembly buffers, which are all zero across their
+	// whole capacity whenever they are in the pool: a received chunk's
+	// elided zeros are then in place without being written, and whoever
+	// returns a buffer clears the bytes it wrote.
+	zero *netem.BufferPool
 
 	segs     []*segment
 	partials []*partialMsg
@@ -24,7 +29,7 @@ type Pools struct {
 
 // NewPools returns an empty pool set.
 func NewPools() *Pools {
-	return &Pools{Net: netem.NewBufferPool()}
+	return &Pools{Net: netem.NewBufferPool(), zero: netem.NewBufferPool()}
 }
 
 // seg returns a zeroed segment record.
@@ -46,7 +51,7 @@ func (p *Pools) putSeg(s *segment) {
 }
 
 // partial returns a reassembly record for count chunks, with no chunk
-// present and a buffer of count×MTU bytes of arbitrary contents.
+// present and an all-zero buffer of count×MTU bytes.
 func (p *Pools) partial(count int) *partialMsg {
 	var pm *partialMsg
 	if l := len(p.partials); l > 0 {
@@ -56,20 +61,22 @@ func (p *Pools) partial(count int) *partialMsg {
 	} else {
 		pm = &partialMsg{}
 	}
-	pm.buf = p.Net.Get(count * MTU)
+	pm.buf = p.zero.Get(count * MTU)
 	if cap(pm.got) < count {
 		pm.got = make([]bool, count)
 	} else {
 		pm.got = pm.got[:count]
 		clear(pm.got)
 	}
-	pm.have, pm.total, pm.firstTS = 0, 0, 0
+	pm.have, pm.total, pm.dirty, pm.firstTS = 0, 0, 0, 0
 	return pm
 }
 
-// putPartial recycles a reassembly record and its buffer.
+// putPartial recycles a reassembly record and its buffer, clearing the
+// bytes the chunks wrote.
 func (p *Pools) putPartial(pm *partialMsg) {
-	p.Net.Put(pm.buf)
+	clear(pm.buf[:pm.dirty])
+	p.zero.Put(pm.buf)
 	pm.buf = nil
 	p.partials = append(p.partials, pm)
 }

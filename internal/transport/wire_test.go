@@ -37,27 +37,54 @@ func refFragments(t *testing.T, typ FrameType, firstSeq uint64, ts time.Duration
 }
 
 // wireTap is an endpoint whose egress link records every frame it puts
-// on the wire; nothing answers, so reliable sends are never acked.
+// on the wire, elided zeros written out; nothing answers, so reliable
+// sends are never acked.
 func wireTap(reliable bool) (*simclock.Clock, *Endpoint, *[][]byte) {
 	clk := simclock.New()
 	var sent [][]byte
 	ep := NewEndpoint(clk, Options{Name: "tap", Reliable: reliable, Window: 1 << 12}, func([]byte, uint64, time.Duration) {})
 	ep.AttachLink(netem.NewLink("tap", clk, 1, func(p netem.Packet) {
-		sent = append(sent, bytes.Clone(p.Payload))
+		sent = append(sent, p.AppendWire(nil))
 	}))
 	return clk, ep, &sent
 }
 
+// fillMsg is a message as SendFill takes it: head, then fill zeros.
+type fillMsg struct {
+	head []byte
+	fill int
+}
+
+func (m fillMsg) bytes() []byte { return append(bytes.Clone(m.head), make([]byte, m.fill)...) }
+
+// fillMsgs covers the fragment-geometry edges of a head and of a fill,
+// and every pairing of them.
+func fillMsgs(rng *rand.Rand) []fillMsg {
+	var msgs []fillMsg
+	for _, h := range []int{0, 1, MTU - 1, MTU, MTU + 1, 700} {
+		for _, f := range []int{0, 1, MTU - 1, MTU, MTU + 1, 6000, 24000} {
+			head := make([]byte, h)
+			rng.Read(head)
+			msgs = append(msgs, fillMsg{head, f})
+		}
+	}
+	return msgs
+}
+
 // TestFragmentWireIdentity: the one-pass fragment encoder puts exactly
-// the reference bytes on the wire, for both frame types and every
-// fragment-geometry edge, and a retransmission resends the first
-// transmission's bytes.
+// the reference bytes on the wire, for both frame types, every
+// fragment-geometry edge and every head and fill edge: a fragment's
+// elided zeros, written out, are the zeros the dense message carries.
 func TestFragmentWireIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
-	sizes := []int{0, 1, MTU - 1, MTU, MTU + 1, 2 * MTU, 24 << 10, MaxPayload}
-	for i := 0; i < 6; i++ {
-		sizes = append(sizes, rng.Intn(40<<10))
+	var msgs []fillMsg
+	for _, size := range []int{0, 1, MTU - 1, MTU, MTU + 1, 2 * MTU, 24 << 10, MaxPayload} {
+		msgs = append(msgs, denseMsg(rng, size))
 	}
+	for i := 0; i < 6; i++ {
+		msgs = append(msgs, denseMsg(rng, rng.Intn(40<<10)))
+	}
+	msgs = append(msgs, fillMsgs(rng)...)
 	for _, reliable := range []bool{true, false} {
 		typ := FrameDatagram
 		if reliable {
@@ -65,41 +92,84 @@ func TestFragmentWireIdentity(t *testing.T) {
 		}
 		clk, ep, sent := wireTap(reliable)
 		seq := uint64(1)
-		for m, size := range sizes {
-			payload := make([]byte, size)
-			rng.Read(payload[:size/2]) // a random head and a zero tail, like a world view
+		for m, msg := range msgs {
 			clk.Advance(time.Millisecond)
 			*sent = (*sent)[:0]
 			ts := clk.Now()
-			if err := ep.Send(payload); err != nil {
-				t.Fatalf("%v %d B: %v", typ, size, err)
+			if err := ep.SendFill(msg.head, msg.fill); err != nil {
+				t.Fatalf("%v %d B + %d zeros: %v", typ, len(msg.head), msg.fill, err)
 			}
 			clk.Advance(0)
-			want := refFragments(t, typ, seq, ts, uint32(m+1), payload)
+			want := refFragments(t, typ, seq, ts, uint32(m+1), msg.bytes())
 			if len(*sent) != len(want) {
-				t.Fatalf("%v %d B: %d frames on the wire, want %d", typ, size, len(*sent), len(want))
+				t.Fatalf("%v %d B + %d zeros: %d frames on the wire, want %d", typ, len(msg.head), msg.fill, len(*sent), len(want))
 			}
 			for i := range want {
 				if !bytes.Equal((*sent)[i], want[i]) {
-					t.Fatalf("%v %d B: fragment %d differs from the reference encoding", typ, size, i)
+					t.Fatalf("%v %d B + %d zeros: fragment %d differs from the reference encoding", typ, len(msg.head), msg.fill, i)
 				}
 			}
 			seq += uint64(len(want))
 		}
-		if !reliable {
-			continue
+	}
+}
+
+// denseMsg is a size-byte message with a random head and a zero tail,
+// like a world view, sent as bytes.
+func denseMsg(rng *rand.Rand, size int) fillMsg {
+	payload := make([]byte, size)
+	rng.Read(payload[:size/2])
+	return fillMsg{payload, 0}
+}
+
+// TestRetransmitWireIdentity: a fast retransmit and every RTO
+// retransmission resend a segment's first transmission byte for byte,
+// its elided zeros included — for a segment that carries head bytes
+// and zeros, and for a full mid-fill one.
+func TestRetransmitWireIdentity(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	head := make([]byte, 700)
+	rng.Read(head)
+	msg := fillMsg{head, 24000}
+	for frag := 0; frag < 2; frag++ {
+		clk, ep, sent := wireTap(true)
+		ts := clk.Now()
+		if err := ep.SendFill(msg.head, msg.fill); err != nil {
+			t.Fatal(err)
 		}
-		// Nothing acks: the RTO retransmits the oldest segment, which
-		// must be the first fragment of the first message, byte for byte.
-		first := refFragments(t, typ, 1, time.Millisecond, 1, nil)[0]
+		clk.Advance(0)
+		want := refFragments(t, FrameData, 1, ts, 1, msg.bytes())[frag]
+		if !bytes.Equal((*sent)[frag], want) {
+			t.Fatalf("fragment %d: first send differs from the reference encoding", frag)
+		}
+		ack := func(seq uint64) {
+			wire, err := EncodeFrame(Frame{Type: FrameAck, Seq: seq})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ep.HandlePacket(netem.Packet{Payload: wire})
+		}
+		// Acknowledge the fragments before frag, then three duplicate
+		// ACKs: a fast retransmit of frag. The RTO then resends it,
+		// backing off, until the advance ends.
+		if frag > 0 {
+			ack(uint64(frag))
+		}
 		*sent = (*sent)[:0]
+		for range 3 {
+			ack(uint64(frag))
+		}
+		clk.Advance(0)
+		if len(*sent) != 1 || ep.Stats().Retransmits != 1 {
+			t.Fatalf("fragment %d: %d frames and %d retransmits after three duplicate ACKs, want one fast retransmit", frag, len(*sent), ep.Stats().Retransmits)
+		}
 		clk.Advance(DefaultRTOMax)
-		if len(*sent) == 0 {
-			t.Fatal("no retransmission after the RTO")
+		if len(*sent) < 3 {
+			t.Fatalf("fragment %d: %d retransmissions after the RTO", frag, len(*sent))
 		}
 		for i, rtx := range *sent {
-			if !bytes.Equal(rtx, first) {
-				t.Fatalf("retransmission %d differs from the first send", i)
+			if !bytes.Equal(rtx, want) {
+				t.Fatalf("fragment %d: retransmission %d differs from the first send", frag, i)
 			}
 		}
 	}
@@ -110,14 +180,14 @@ func TestFragmentWireIdentity(t *testing.T) {
 func TestChecksumMatchesCRC32(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	var lengths []int
-	for _, base := range []int{0, 1, zeroBlockMin, headerLen + fragHeaderLen + MTU, MTU, zeroBlockMax, 24 << 10} {
+	for _, base := range []int{0, 1, denseMin, headerLen + fragHeaderLen + MTU, MTU, zeroBlockMax, 24 << 10} {
 		for d := -3; d <= 3; d++ {
 			if base+d >= 0 {
 				lengths = append(lengths, base+d)
 			}
 		}
 	}
-	for k := zeroBlockMinLog; k <= zeroBlockMaxLog+1; k++ {
+	for k := denseMinLog; k <= zeroBlockMaxLog+1; k++ {
 		lengths = append(lengths, 1<<k-1, 1<<k, 1<<k+1)
 	}
 	for i := 0; i < 64; i++ {
@@ -161,8 +231,27 @@ func zeroTail(b []byte) int {
 	return n
 }
 
+// TestChecksumZeros: checksumZeros(head, n) is crc32.Checksum of head
+// followed by n zeros, for every n from 0 to 4·MTU — every fragment's
+// zero tail, and runs that take every ladder block.
+func TestChecksumZeros(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	for _, h := range []int{0, 1, headerLen + fragHeaderLen, 700} {
+		head := make([]byte, h)
+		rng.Read(head)
+		want := crc32.Checksum(head, crcTable)
+		for n := 0; n <= 4*MTU; n++ {
+			if got := checksumZeros(head, n); got != want {
+				t.Fatalf("checksumZeros(%d B, %d) = %08x, want %08x", h, n, got, want)
+			}
+			want = crc32.Update(want, crcTable, []byte{0})
+		}
+	}
+}
+
 // FuzzChecksum: for arbitrary bytes followed by an arbitrary run of
-// zeros, checksum agrees with crc32.Checksum.
+// zeros, checksum of the whole and checksumZeros of the head and the
+// run's length agree with crc32.Checksum.
 func FuzzChecksum(f *testing.F) {
 	f.Add([]byte("header"), uint16(MTU))
 	f.Add([]byte{}, uint16(0))
@@ -170,14 +259,19 @@ func FuzzChecksum(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0xA5}, headerLen+fragHeaderLen), uint16(MTU))
 	f.Fuzz(func(t *testing.T, head []byte, zeros uint16) {
 		b := append(bytes.Clone(head), make([]byte, zeros)...)
-		if got, want := checksum(b), crc32.Checksum(b, crcTable); got != want {
+		want := crc32.Checksum(b, crcTable)
+		if got := checksum(b); got != want {
 			t.Fatalf("checksum(%d B head + %d zeros) = %08x, want %08x", len(head), zeros, got, want)
+		}
+		if got := checksumZeros(head, int(zeros)); got != want {
+			t.Fatalf("checksumZeros(%d B head, %d) = %08x, want %08x", len(head), zeros, got, want)
 		}
 	})
 }
 
-// BenchmarkChecksum compares the zero-run checksum with crc32 on a full
-// zero-filled mid-fragment frame body, the bulk of keyframe traffic.
+// BenchmarkChecksum compares the elided and the zero-run checksum with
+// crc32 on a full zero-filled mid-fragment frame body, the bulk of
+// keyframe traffic.
 func BenchmarkChecksum(b *testing.B) {
 	body := make([]byte, headerLen+fragHeaderLen+MTU)
 	for i := range headerLen + fragHeaderLen {
@@ -187,6 +281,7 @@ func BenchmarkChecksum(b *testing.B) {
 		name string
 		sum  func([]byte) uint32
 	}{
+		{"elided", func(b []byte) uint32 { return checksumZeros(b[:headerLen+fragHeaderLen], MTU) }},
 		{"zero-run", checksum},
 		{"crc32", func(b []byte) uint32 { return crc32.Checksum(b, crcTable) }},
 	} {
@@ -225,7 +320,7 @@ func TestChunkGeometryRejected(t *testing.T) {
 				t.Fatal("delivered a message with a corrupt chunk")
 			})
 			wire := make([]byte, fragFrameLen(tc.chunk))
-			putFragment(wire, FrameDatagram, 1, 0, 1, tc.idx, tc.count, make([]byte, tc.chunk))
+			putFragment(wire, FrameDatagram, 1, 0, 1, tc.idx, tc.count, make([]byte, tc.chunk), 0)
 			ep.HandlePacket(netem.Packet{Payload: wire})
 			st := ep.Stats()
 			if st.CorruptDropped != tc.wantCorrupt {

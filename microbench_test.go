@@ -88,14 +88,15 @@ func BenchmarkCameraCapture(b *testing.B) {
 	// into a reused view, marshal into a reused buffer.
 	var view sensors.WorldView
 	var frames sensors.FrameBuffer
-	var buf []byte
+	var head []byte
+	var fill int
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cam.CaptureInto(&view)
-		buf = frames.Keyframe(0, view)
+		head, fill = frames.Keyframe(0, view)
 	}
-	if _, err := sensors.UnmarshalWorldView(buf[1:]); err != nil {
+	if _, err := sensors.UnmarshalWorldView(append(head[1:], make([]byte, fill)...)); err != nil {
 		b.Fatal(err)
 	}
 }
@@ -107,13 +108,14 @@ func BenchmarkFrameBufferKeyframe(b *testing.B) {
 	}
 	view := sensors.NewCamera(built.World, built.Ego).Capture()
 	var frames sensors.FrameBuffer
-	var buf []byte
+	var head []byte
+	var fill int
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = frames.Keyframe(0, view)
+		head, fill = frames.Keyframe(0, view)
 	}
-	if _, err := sensors.UnmarshalWorldView(buf[1:]); err != nil {
+	if _, err := sensors.UnmarshalWorldView(append(head[1:], make([]byte, fill)...)); err != nil {
 		b.Fatal(err)
 	}
 }
