@@ -136,7 +136,7 @@ func run(args []string) error {
 	fmt.Printf("  frames: sent %d, dropped %d; controls applied %d\n",
 		out.ServerStats.FramesSent, out.ServerStats.FramesDropped, out.ServerStats.ControlsApplied)
 	fmt.Printf("  uplink: controls sent %d, dropped %d\n",
-		out.ClientStats.ControlsSent, out.ControlsDropped)
+		out.ClientStats.ControlsSent, out.ClientStats.ControlsDropped)
 
 	if *jsonOut != "" {
 		if err := trace.SaveJSONFile(*jsonOut, out.Log); err != nil {

@@ -8,7 +8,6 @@ import (
 	"teledrive/internal/hub"
 	"teledrive/internal/netem"
 	"teledrive/internal/scenario"
-	"teledrive/internal/session"
 	"teledrive/internal/simclock"
 )
 
@@ -70,7 +69,6 @@ func connectHub(p hubSessionParams) error {
 	if err != nil {
 		return err
 	}
-	var op session.Operator = drv
 
 	start := time.Now()
 	tick := time.NewTicker(20 * time.Millisecond)
@@ -88,7 +86,7 @@ func connectHub(p hubSessionParams) error {
 			if _, ok := ss.Frame(); !ok {
 				continue // nothing displayed yet
 			}
-			if err := ss.SendControl(op.Tick(now)); err != nil {
+			if err := ss.SendControl(drv.Tick(now)); err != nil {
 				return err
 			}
 		case <-status.C:

@@ -375,7 +375,7 @@ func (r *Result) BuildCellCriticality() []CellCriticalityRow {
 					DangerousShare:  a.DangerousTTCShare,
 					DangerousTime:   a.DangerousTTCTime,
 					Collisions:      a.EgoCollisions,
-					ControlsDropped: cell.res.Outcome.ControlsDropped,
+					ControlsDropped: cell.res.Outcome.ClientStats.ControlsDropped,
 				}
 				if !math.IsInf(a.MinTTC, 1) {
 					row.TTCValid = true

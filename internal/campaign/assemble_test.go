@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"teledrive/internal/bridge"
 	"teledrive/internal/core"
 	"teledrive/internal/rds"
 	"teledrive/internal/trace"
@@ -75,10 +76,10 @@ func TestCellErrorExported(t *testing.T) {
 func TestTotalFailedInjectionsAndControlsDropped(t *testing.T) {
 	res := &Result{Subjects: []SubjectResult{
 		{
-			Training: &core.Result{Outcome: &rds.Outcome{FailedInjections: 1, ControlsDropped: 2}},
+			Training: &core.Result{Outcome: &rds.Outcome{FailedInjections: 1, ClientStats: bridge.ClientStats{ControlsDropped: 2}}},
 			Runs: []ScenarioResult{{
-				Golden: &core.Result{Outcome: &rds.Outcome{ControlsDropped: 3}},
-				Faulty: &core.Result{Outcome: &rds.Outcome{FailedInjections: 4, ControlsDropped: 5}},
+				Golden: &core.Result{Outcome: &rds.Outcome{ClientStats: bridge.ClientStats{ControlsDropped: 3}}},
+				Faulty: &core.Result{Outcome: &rds.Outcome{FailedInjections: 4, ClientStats: bridge.ClientStats{ControlsDropped: 5}}},
 			}},
 		},
 		{

@@ -157,7 +157,7 @@ func (r *Result) TotalControlsDropped() uint64 {
 	var total uint64
 	for _, sub := range r.Subjects {
 		for _, res := range sub.allResults() {
-			total += res.Outcome.ControlsDropped
+			total += res.Outcome.ClientStats.ControlsDropped
 		}
 	}
 	return total

@@ -89,5 +89,5 @@ func (ins *Instruments) cellDone(r *core.Result, worker *telemetry.Counter, err 
 	}
 	ins.CellsOK.Inc()
 	ins.FailedInjections.Add(uint64(r.Outcome.FailedInjections))
-	ins.ControlsDropped.Add(r.Outcome.ControlsDropped)
+	ins.ControlsDropped.Add(r.Outcome.ClientStats.ControlsDropped)
 }

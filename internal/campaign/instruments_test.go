@@ -132,8 +132,8 @@ func TestControlsDroppedCounter(t *testing.T) {
 	var want uint64
 	for _, sub := range res.Subjects {
 		for _, run := range sub.Runs {
-			want += run.Golden.Outcome.ControlsDropped
-			want += run.Faulty.Outcome.ControlsDropped
+			want += run.Golden.Outcome.ClientStats.ControlsDropped
+			want += run.Faulty.Outcome.ClientStats.ControlsDropped
 		}
 	}
 	got := reg.Counter("teledrive_campaign_controls_dropped_total", "").Value()

@@ -40,8 +40,9 @@ type RunSpec struct {
 	// Driver overrides the default driver configuration (model-vehicle
 	// experiments).
 	Driver *driver.Config
-	// Stack overrides the session stack builder (plant + link); nil
-	// uses the simulator plant over the netem duplex.
+	// Stack, when non-nil, replaces session.NewStack: the bench probe
+	// wraps it to keep the stack, and tests wrap it to impair a link
+	// (see rds.BenchConfig.NewStack).
 	Stack session.StackBuilder
 	// Observers subscribe to the run's event spine (ticks, frames,
 	// faults, collisions, condition spans) alongside the trace recorder.

@@ -45,7 +45,7 @@ func (ins *Instruments) sessionDone(res SessionResult) {
 	switch {
 	case res.Err != nil:
 		ins.sessionsErrored.Inc()
-	case res.Outcome != nil && res.Outcome.TimedOut:
+	case res.Outcome != nil && !res.Outcome.Completed:
 		ins.sessionsTimedOut.Inc()
 	default:
 		ins.sessionsCompleted.Inc()

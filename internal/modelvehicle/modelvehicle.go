@@ -11,14 +11,10 @@ import (
 	"math"
 	"time"
 
-	"teledrive/internal/bridge"
 	"teledrive/internal/driver"
 	"teledrive/internal/geom"
 	"teledrive/internal/scenario"
 	"teledrive/internal/sensors"
-	"teledrive/internal/session"
-	"teledrive/internal/simclock"
-	"teledrive/internal/transport"
 	"teledrive/internal/vehicle"
 	"teledrive/internal/world"
 )
@@ -118,21 +114,3 @@ func DriverConfig() driver.Config {
 // builder spawns a sedan by default; model-vehicle runs replace the ego
 // via BuildWithPlant.
 func PlantSpec() vehicle.Spec { return vehicle.ScaledModelCar() }
-
-// NewStack is the session.StackBuilder for the model-vehicle
-// environment: the scale-model plant over the datagram
-// (smartphone-camera style) link. The plant is a plain bridge.Server —
-// the RC car speaks the same bridge protocol as the simulator plant, so
-// the session layer cannot tell them apart. Pass it via rds.BenchConfig.NewStack
-// or validity.Env.NewStack.
-func NewStack(clock *simclock.Clock, w *world.World, ego *world.Actor, seed int64, topts transport.Options) (*session.Stack, error) {
-	sess, err := bridge.NewSessionWithTransport(clock, w, ego, seed, topts)
-	if err != nil {
-		return nil, err
-	}
-	return &session.Stack{
-		Plant:  sess.Server,
-		Client: sess.Client,
-		Link:   session.NetemLink{Conn: sess.Conn},
-	}, nil
-}

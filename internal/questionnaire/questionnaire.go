@@ -72,7 +72,7 @@ func ForSubject(sub campaign.SubjectResult) Answers {
 		goldenSRR += run.Golden.Analysis.SRRWholeRun
 		faultySRR += run.Faulty.Analysis.SRRWholeRun
 		collisions += run.Faulty.Outcome.EgoCollisions
-		if run.Faulty.Outcome.TimedOut {
+		if !run.Faulty.Outcome.Completed {
 			timedOut = true
 		}
 	}

@@ -79,7 +79,6 @@ func FingerprintCells() []FingerprintCell {
 				Profile:         modelvehicle.Operator(),
 				Seed:            3,
 				Transport:       &transport.Options{Name: "model", Reliable: false},
-				NewStack:        modelvehicle.NewStack,
 				DriverConfig:    &dcfg,
 				PersistentRule:  &netem.Rule{Delay: 140 * time.Millisecond, Loss: 0.005},
 				PersistentLabel: "delay-20ms",
@@ -130,7 +129,7 @@ func RunFingerprintPooled(c FingerprintCell, scratch *session.RunScratch, arts *
 func OutcomeDigest(out *Outcome) string {
 	return fmt.Sprintf(
 		"%s|completed=%v|timedout=%v|injected=%d|egocol=%d|station=%x|ticks=%d|frames=%d/%d|controls=%d|sent=%d/%d",
-		trace.Fingerprint(out.Log), out.Completed, out.TimedOut, out.Injected,
+		trace.Fingerprint(out.Log), out.Completed, !out.Completed, out.Injected,
 		out.EgoCollisions, out.FinalStation, out.WallTicks,
 		out.ServerStats.FramesSent, out.ServerStats.FramesDropped,
 		out.ServerStats.ControlsApplied,

@@ -82,9 +82,10 @@ type BenchConfig struct {
 	FaultRules []*faultinject.RuleAssignment
 	// Transport defaults to the reliable (TCP-like) channel.
 	Transport *transport.Options
-	// NewStack, when non-nil, overrides the session stack builder
-	// (modelvehicle.NewStack substitutes the scale-model plant; the
-	// default is session.NewStack's simulator plant over netem).
+	// NewStack, when non-nil, replaces session.NewStack. Drives always
+	// run on session.NewStack; the bench probe wraps it to keep the
+	// stack, and tests wrap it to impair a link. The built link must
+	// have a fault surface.
 	NewStack session.StackBuilder
 	// DriverConfig, when non-nil, overrides the task-derived default
 	// (used by the model-vehicle validity experiments).
@@ -102,9 +103,9 @@ type BenchConfig struct {
 	// paper's feed ran at 25-30 fps).
 	FrameInterval time.Duration
 	// DeltaStreaming ships the downlink as keyframe+diff world views
-	// (DESIGN.md §14) when the plant supports it. Delta streaming changes
-	// wire sizes — and therefore netem RNG draws and trajectories on an
-	// impaired link — so the canonical fingerprint cells leave it off.
+	// (DESIGN.md §14). Delta streaming changes wire sizes — and
+	// therefore netem RNG draws and trajectories on an impaired link —
+	// so the canonical fingerprint cells leave it off.
 	DeltaStreaming bool
 	// KeyframeEvery bounds the diff chain length when DeltaStreaming is
 	// on (non-positive = bridge.DefaultKeyframeEvery).
@@ -191,10 +192,9 @@ func (c *BenchConfig) IsGolden() bool {
 // Outcome is the result of one bench run.
 type Outcome struct {
 	Log *trace.RunLog
-	// Completed is true when the ego reached the scenario end station.
+	// Completed is true when the ego reached the scenario end station;
+	// false means the scenario timeout expired first.
 	Completed bool
-	// TimedOut is true when the scenario timeout expired first.
-	TimedOut bool
 	// Injected counts how many POIs actually saw a fault injected
 	// (a POI is skipped when its assignment is CondNFI).
 	Injected int
@@ -206,11 +206,9 @@ type Outcome struct {
 	// EgoCollisions counts collision events involving the ego.
 	EgoCollisions int
 	ServerStats   bridge.ServerStats
-	ClientStats   bridge.ClientStats
-	// ControlsDropped counts operator commands lost to a full uplink
-	// send window, as observed by the station loop (it matches
-	// ClientStats.ControlsDropped for the standard stack).
-	ControlsDropped uint64
+	// ClientStats.ControlsDropped counts operator commands lost to a
+	// full uplink send window.
+	ClientStats bridge.ClientStats
 	// FinalStation is the ego's route station at the end of the run.
 	FinalStation float64
 	// WallTicks counts physics ticks executed.
@@ -219,7 +217,7 @@ type Outcome struct {
 
 // Run executes one complete scenario drive and returns the outcome.
 //
-// It assembles the paper's standard stack — simulator plant, netem
+// It assembles the paper's standard stack — bridge plant, netem
 // link, driver-model operator, POI supervisor, trace recorder on the
 // observer spine — and hands the lifecycle to internal/session. The
 // wiring order below is load-bearing: simclock fires same-instant
@@ -310,29 +308,20 @@ func Run(cfg BenchConfig) (*Outcome, error) {
 		}
 	}
 
-	var inj *faultinject.Injector
 	faults := stack.Link.Faults()
-	if faults != nil {
-		inj, err = faultinject.NewInjector(faults, clock.Now)
-		if err != nil {
-			return nil, err
-		}
-		inj.OnChange = spine.Fault
-		inj.Direction = cfg.InjectDirection
+	inj, err := faultinject.NewInjector(faults, clock.Now)
+	if err != nil {
+		return nil, err
 	}
+	inj.OnChange = spine.Fault
+	inj.Direction = cfg.InjectDirection
 
 	// Native subsystem instruments: netem links, bridge endpoints. All
 	// handles bind here, at wiring time; the per-tick/per-packet paths
 	// see only nil-checked atomics.
 	if cfg.Metrics != nil {
-		if faults != nil {
-			faults.Instrument(cfg.Metrics)
-		}
-		if plant, ok := stack.Plant.(interface {
-			SetInstruments(*bridge.ServerInstruments)
-		}); ok {
-			plant.SetInstruments(bridge.NewServerInstruments(cfg.Metrics))
-		}
+		faults.Instrument(cfg.Metrics)
+		stack.Plant.SetInstruments(bridge.NewServerInstruments(cfg.Metrics))
 		stack.Client.SetInstruments(bridge.NewClientInstruments(cfg.Metrics))
 	}
 
@@ -347,15 +336,12 @@ func Run(cfg BenchConfig) (*Outcome, error) {
 		return nil, err
 	}
 
-	sup := session.NewPOISupervisor(cfg.Scenario, built.Ego, built.Route, inj, cfg.FaultAssignments, spine)
-	sup.SetRuleAssignments(cfg.FaultRules)
+	sup := session.NewPOISupervisor(cfg.Scenario, built.Ego, built.Route, inj, cfg.FaultAssignments, cfg.FaultRules, spine)
 
 	sess := &session.Session{
 		Clock:         clock,
-		Plant:         stack.Plant,
-		Link:          stack.Link,
+		Stack:         stack,
 		Operator:      drv,
-		Sink:          stack.Client,
 		Supervisor:    sup,
 		Observers:     spine,
 		ControlPeriod: PaperStation().ControlPeriod,
@@ -365,16 +351,9 @@ func Run(cfg BenchConfig) (*Outcome, error) {
 				stack.Plant.SetFrameInterval(cfg.FrameInterval)
 			}
 			if cfg.DeltaStreaming {
-				ds, ok := stack.Plant.(interface{ SetDeltaStreaming(bool, int) })
-				if !ok {
-					return fmt.Errorf("rds: delta streaming requested but plant %T cannot stream diffs", stack.Plant)
-				}
-				ds.SetDeltaStreaming(true, cfg.KeyframeEvery)
+				stack.Plant.SetDeltaStreaming(true, cfg.KeyframeEvery)
 			}
 			if cfg.PersistentRule != nil {
-				if faults == nil {
-					return fmt.Errorf("rds: persistent rule needs a link with a fault surface (%s has none)", stack.Link.Name())
-				}
 				if err := faults.ApplyBoth(*cfg.PersistentRule); err != nil {
 					return fmt.Errorf("rds: persistent rule: %w", err)
 				}
@@ -401,12 +380,10 @@ func Run(cfg BenchConfig) (*Outcome, error) {
 	out := &Outcome{
 		Log:              log,
 		Completed:        res.Completed,
-		TimedOut:         res.TimedOut,
 		Injected:         sup.Injected(),
 		FailedInjections: sup.FailedInjections(),
 		ServerStats:      stack.Plant.Stats(),
 		ClientStats:      stack.Client.Stats(),
-		ControlsDropped:  res.ControlsDropped,
 		FinalStation:     sup.FinalStation(),
 		WallTicks:        res.WallTicks,
 	}

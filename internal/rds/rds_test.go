@@ -1,6 +1,7 @@
 package rds
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -8,7 +9,10 @@ import (
 	"teledrive/internal/faultinject"
 	"teledrive/internal/netem"
 	"teledrive/internal/scenario"
+	"teledrive/internal/session"
+	"teledrive/internal/simclock"
 	"teledrive/internal/transport"
+	"teledrive/internal/world"
 )
 
 func subject(t *testing.T, name string) driver.Profile {
@@ -76,7 +80,7 @@ func TestGoldenRunCompletes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !out.Completed || out.TimedOut {
+	if !out.Completed {
 		t.Fatalf("golden run did not complete: %+v", out)
 	}
 	if out.Log.RunType != "golden" {
@@ -254,5 +258,58 @@ func TestT7BiasVisible(t *testing.T) {
 	t5, t7 := mean("T5"), mean("T7")
 	if t7 <= t5+0.02 {
 		t.Fatalf("T7 mean lateral %v not visibly offset from T5's %v", t7, t5)
+	}
+}
+
+// TestTimedOutRunDigest cuts a drive short: the outcome is not completed
+// and the equivalence digest still spells the timeout out.
+func TestTimedOutRunDigest(t *testing.T) {
+	scn := scenario.FollowVehicle()
+	scn.Timeout = 2 * time.Second
+	out, err := Run(BenchConfig{Scenario: scn, Profile: subject(t, "T5"), Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Completed {
+		t.Fatal("a 2 s drive of follow-vehicle reported completion")
+	}
+	if d := OutcomeDigest(out); !strings.Contains(d, "|completed=false|timedout=true|") {
+		t.Fatalf("digest %q does not read completed=false|timedout=true", d)
+	}
+}
+
+// faultlessLink is a link without a fault surface.
+type faultlessLink struct{}
+
+func (faultlessLink) Faults() *netem.Duplex { return nil }
+
+// TestRunRejectsLinkWithoutFaultSurface: a faulty drive over a link that
+// cannot be impaired must fail, not run as a fault-free drive that
+// reports no failed injections.
+func TestRunRejectsLinkWithoutFaultSurface(t *testing.T) {
+	scn := scenario.FollowVehicle()
+	assign := make([]faultinject.Condition, len(scn.POIs))
+	for i := range assign {
+		assign[i] = faultinject.CondDelay50
+	}
+	out, err := Run(BenchConfig{
+		Scenario:         scn,
+		Profile:          subject(t, "T5"),
+		Seed:             5,
+		FaultAssignments: assign,
+		NewStack: func(clock *simclock.Clock, w *world.World, ego *world.Actor, seed int64, topts transport.Options) (*session.Stack, error) {
+			st, err := session.NewStack(clock, w, ego, seed, topts)
+			if err != nil {
+				return nil, err
+			}
+			st.Link = faultlessLink{}
+			return st, nil
+		},
+	})
+	if err == nil {
+		t.Fatalf("faulty drive without a fault surface ran: %+v", out)
+	}
+	if out != nil {
+		t.Fatalf("failed drive returned an outcome: %+v", out)
 	}
 }

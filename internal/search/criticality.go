@@ -41,7 +41,7 @@ func SignalsFrom(r *core.Result) Signals {
 		DangerousShare:   r.Analysis.DangerousTTCShare,
 		DangerousTime:    r.Analysis.DangerousTTCTime.Seconds(),
 		Collisions:       r.Analysis.EgoCollisions,
-		ControlsDropped:  r.Outcome.ControlsDropped,
+		ControlsDropped:  r.Outcome.ClientStats.ControlsDropped,
 		FailedInjections: r.Outcome.FailedInjections,
 		Completed:        r.Outcome.Completed,
 	}

@@ -32,7 +32,7 @@ func TestSupervisorTickSteadyStateAllocs(t *testing.T) {
 	for i := range assign {
 		assign[i] = faultinject.CondDelay25
 	}
-	sup := NewPOISupervisor(scn, built.Ego, built.Route, inj, assign, spine)
+	sup := NewPOISupervisor(scn, built.Ego, built.Route, inj, assign, nil, spine)
 
 	// The composed per-tick callback exactly as Session.Run wires it.
 	var ticks uint64

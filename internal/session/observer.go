@@ -9,12 +9,10 @@ import (
 // Phase labels the run-lifecycle stage an observer is notified about.
 type Phase int
 
-// Lifecycle phases in order. PhaseBuild is emitted by part builders
-// that construct a session (the Session itself starts at PhaseWire:
-// its parts already exist by the time Run is called).
+// Lifecycle phases in order. A session starts at PhaseWire: its stack
+// is already built by the time Run is called.
 const (
-	PhaseBuild Phase = iota
-	PhaseWire
+	PhaseWire Phase = iota
 	PhaseRun
 	PhaseTeardown
 )
@@ -22,8 +20,6 @@ const (
 // String renders the phase.
 func (p Phase) String() string {
 	switch p {
-	case PhaseBuild:
-		return "build"
 	case PhaseWire:
 		return "wire"
 	case PhaseRun:

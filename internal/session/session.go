@@ -1,78 +1,42 @@
 // Package session owns the run lifecycle of one remote-driving test —
-// build → wire → run → teardown — around the four subsystems of the
-// paper's §III-A as explicit interfaces: the Plant (vehicle subsystem
-// over the simulated world), the Link (communication network), the
-// Operator (the driver at the station), and the Supervisor (scenario
-// supervision: POI-driven fault scheduling and end detection). A
-// structured Observer spine threads through all four layers, so data
-// logging (trace.Recorder via Record) is one subscriber among many
-// rather than the hard-wired owner of the run's hooks.
+// wire → run → teardown — over the paper's §III-A stack: the Stack
+// (the bridge server as the vehicle plant, the netem link, the bridge
+// client at the operator station), the Operator (the driver at the
+// station) and the Supervisor (scenario supervision: POI-driven fault
+// scheduling and end detection). A structured Observer spine threads
+// through all of them, so data logging (trace.Recorder via Record) is
+// one subscriber among many rather than the hard-wired owner of the
+// run's hooks.
 //
-// rds.Run assembles the standard configuration (bridge plant, netem
-// link, driver-model operator, POI supervisor); campaign, validity and
-// the model-vehicle experiments all execute through it. New plants,
-// links, operators or supervisors plug in without another copy of the
-// run loop.
+// rds.Run assembles the standard drive (NewStack, driver-model
+// operator, POI supervisor); campaign, validity and the model-vehicle
+// experiments all execute through it. Operator and Supervisor stay
+// interfaces so tests can drive a session with fakes.
 package session
 
 import (
 	"fmt"
 	"time"
 
-	"teledrive/internal/bridge"
 	"teledrive/internal/netem"
 	"teledrive/internal/simclock"
 	"teledrive/internal/vehicle"
 	"teledrive/internal/world"
 )
 
-// Plant is the vehicle subsystem: it owns the simulated world, steps
-// physics on the session clock, streams sensor data downlink and
-// applies uplink controls to the remotely driven actor.
-// *bridge.Server implements it for both the simulator and the scale
-// model (modelvehicle.NewStack).
-type Plant interface {
-	// Start schedules the physics and sensor loops; Stop halts them.
-	Start()
-	Stop()
-	// World is the simulated ground truth; Ego the remotely driven
-	// actor.
-	World() *world.World
-	Ego() *world.Actor
-	// SetOnTick registers the callback run after every physics step —
-	// the session drives its observer spine and supervisor from it.
-	SetOnTick(fn func(now time.Duration))
-	// SetFrameInterval changes the camera frame period.
-	SetFrameInterval(d time.Duration)
-	// Stats snapshots the plant-side counters.
-	Stats() bridge.ServerStats
-}
-
 // Link is the communication network subsystem between plant and
-// operator station.
+// operator station. NetemLink is the one implementation.
 type Link interface {
-	// Name labels the link implementation in logs.
-	Name() string
-	// Faults exposes the NETEM-emulated fault surface. NetemLink, the
-	// one implementation, always has one; a link that returns nil gets
-	// no fault injection, and the supervisor drives POIs without
-	// injecting.
+	// Faults exposes the NETEM-emulated fault surface.
 	Faults() *netem.Duplex
 }
 
 // Operator is the operator-station subsystem: each control period it
 // observes its display and decides the next driving command.
 // *driver.Driver — the modelled human — is the standard
-// implementation; an interactive station implements the same
-// interface.
+// implementation.
 type Operator interface {
 	Tick(now time.Duration) vehicle.Control
-}
-
-// ControlSink consumes operator commands (the uplink ingress).
-// *bridge.Client is the standard implementation.
-type ControlSink interface {
-	SendControl(ctrl vehicle.Control) error
 }
 
 // Supervisor watches the drive on the physics tick: it schedules
@@ -93,14 +57,14 @@ type Supervisor interface {
 // time between supervisor checks).
 const runChunk = 100 * time.Millisecond
 
-// Session wires the four subsystems and the observer spine into one
-// runnable drive. All fields except Wire are required.
+// Session wires the stack, operator, supervisor and observer spine
+// into one runnable drive. All fields except Wire are required.
 type Session struct {
-	Clock      *simclock.Clock
-	Plant      Plant
-	Link       Link
+	Clock *simclock.Clock
+	// Stack is the built plant, link and station client; the operator's
+	// commands go out through Stack.Client.
+	Stack      *Stack
 	Operator   Operator
-	Sink       ControlSink
 	Supervisor Supervisor
 	// Observers is the event spine; order matters (the trace recorder
 	// conventionally first).
@@ -122,30 +86,21 @@ type Session struct {
 // outcomes (telemetry, stats, injection counts) live with their
 // subsystems.
 type Result struct {
-	// Completed is true when the supervisor reported the scenario done.
+	// Completed is true when the supervisor reported the scenario done;
+	// false means Timeout expired first.
 	Completed bool
-	// TimedOut is true when Timeout expired first.
-	TimedOut bool
 	// WallTicks counts physics ticks executed.
 	WallTicks uint64
-	// ControlsDropped counts operator commands lost to a full send
-	// window — a congested uplink made observable instead of silently
-	// discarded.
-	ControlsDropped uint64
 }
 
 func (s *Session) validate() error {
 	switch {
 	case s.Clock == nil:
 		return fmt.Errorf("session: nil clock")
-	case s.Plant == nil:
-		return fmt.Errorf("session: nil plant")
-	case s.Link == nil:
-		return fmt.Errorf("session: nil link")
+	case s.Stack == nil:
+		return fmt.Errorf("session: nil stack")
 	case s.Operator == nil:
 		return fmt.Errorf("session: nil operator")
-	case s.Sink == nil:
-		return fmt.Errorf("session: nil control sink")
 	case s.Supervisor == nil:
 		return fmt.Errorf("session: nil supervisor")
 	case s.ControlPeriod <= 0:
@@ -172,7 +127,8 @@ func (s *Session) Run() (Result, error) {
 	// drives observers then supervision, the operator loop rides the
 	// control period.
 	s.Observers.RunPhase(PhaseWire, s.Clock.Now())
-	w := s.Plant.World()
+	plant := s.Stack.Plant
+	w := plant.World()
 	prevCol := w.OnCollision
 	w.OnCollision = func(ev world.CollisionEvent) {
 		if prevCol != nil {
@@ -187,7 +143,7 @@ func (s *Session) Run() (Result, error) {
 		}
 		s.Observers.LaneInvasion(ev)
 	}
-	s.Plant.SetOnTick(func(now time.Duration) {
+	plant.SetOnTick(func(now time.Duration) {
 		res.WallTicks++
 		s.Observers.Tick(now)
 		s.Supervisor.OnTick(now)
@@ -199,12 +155,9 @@ func (s *Session) Run() (Result, error) {
 	// Schedule-per-tick it replaced, so event order is unchanged).
 	var stationTimer *simclock.Timer
 	stationTimer = s.Clock.NewTimer(func(now time.Duration) {
-		ctrl := s.Operator.Tick(now)
 		// A full send window behaves like a congested socket: this
-		// command is lost (and counted); the next tick retries.
-		if err := s.Sink.SendControl(ctrl); err != nil {
-			res.ControlsDropped++
-		}
+		// command is lost and the next tick retries.
+		_ = s.Stack.Client.SendControl(s.Operator.Tick(now)) //lint:allow errswallow the only error is a full send window, which the client counts in ClientStats.ControlsDropped
 		s.Clock.Reschedule(stationTimer, s.ControlPeriod)
 	})
 	s.Clock.Reschedule(stationTimer, s.ControlPeriod)
@@ -217,7 +170,7 @@ func (s *Session) Run() (Result, error) {
 
 	// Run phase: advance simulated time in chunks until the supervisor
 	// ends the scenario or the timeout expires.
-	s.Plant.Start()
+	plant.Start()
 	s.Observers.RunPhase(PhaseRun, s.Clock.Now())
 	for !s.Supervisor.Done() && s.Clock.Now() < s.Timeout {
 		s.Clock.Advance(runChunk)
@@ -225,13 +178,12 @@ func (s *Session) Run() (Result, error) {
 
 	// Teardown phase: stop the loops, clear supervisor effects, close
 	// any still-open condition span.
-	s.Plant.Stop()
+	plant.Stop()
 	end := s.Clock.Now()
 	s.Supervisor.Finish(end)
 	s.Observers.Condition(end, "")
 	s.Observers.RunPhase(PhaseTeardown, end)
 
 	res.Completed = s.Supervisor.Done()
-	res.TimedOut = !res.Completed
 	return res, nil
 }

@@ -9,18 +9,20 @@ import (
 )
 
 // Stack is one built plant+link+operator-side endpoint: everything a
-// session needs below the operator. The Client doubles as the control
-// sink and the operator station's perception/meta endpoint.
+// session needs below the operator. The plant is the bridge server over
+// the simulated world — the simulator and the scale model speak the
+// same bridge protocol — and the Client is both the control sink and
+// the operator station's perception/meta endpoint.
 type Stack struct {
-	Plant  Plant
+	Plant  *bridge.Server
 	Client *bridge.Client
 	Link   Link
 }
 
-// StackBuilder constructs a stack over a scenario's world. rds.Run
-// uses NewStack (simulator plant) unless the config supplies another
-// builder (modelvehicle.NewStack wraps the same bridge in the
-// scale-model plant).
+// StackBuilder constructs a stack over a scenario's world. Every drive
+// runs on NewStack; the hook exists so the bench probe can keep the
+// stack it builds (to read transport and netem counters at teardown)
+// and so tests can impair a link before the drive starts.
 type StackBuilder func(clock *simclock.Clock, w *world.World, ego *world.Actor, seed int64, topts transport.Options) (*Stack, error)
 
 // NewStack is the standard builder: a bridge server/client pair over a
@@ -42,9 +44,6 @@ func NewStack(clock *simclock.Clock, w *world.World, ego *world.Actor, seed int6
 type NetemLink struct {
 	Conn *transport.Conn
 }
-
-// Name implements Link.
-func (NetemLink) Name() string { return "netem" }
 
 // Faults implements Link: the duplex is the fault-injection surface.
 func (l NetemLink) Faults() *netem.Duplex { return l.Conn.Links }

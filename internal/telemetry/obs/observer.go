@@ -35,7 +35,7 @@ type SessionObserver struct {
 	invasions    *telemetry.Counter
 	spans        *telemetry.Counter
 	spansActive  *telemetry.Gauge
-	phases       [4]*telemetry.Counter
+	phases       [3]*telemetry.Counter
 
 	// spanOpen tracks whether THIS run has an open condition span, so
 	// the shared spansActive gauge never double-decrements on the
@@ -74,7 +74,7 @@ func NewSessionObserver(reg *telemetry.Registry, sink *telemetry.EventSink) *Ses
 			"Fault-condition spans currently open across in-flight runs."),
 		sink: sink,
 	}
-	for p := session.PhaseBuild; p <= session.PhaseTeardown; p++ {
+	for p := session.PhaseWire; p <= session.PhaseTeardown; p++ {
 		o.phases[p] = phases.With(p.String())
 	}
 	return o
@@ -82,7 +82,7 @@ func NewSessionObserver(reg *telemetry.Registry, sink *telemetry.EventSink) *Ses
 
 // RunPhase implements session.Observer.
 func (o *SessionObserver) RunPhase(p session.Phase, now time.Duration) {
-	if p >= session.PhaseBuild && p <= session.PhaseTeardown {
+	if p >= session.PhaseWire && p <= session.PhaseTeardown {
 		o.phases[p].Inc()
 	}
 	o.sink.EmitAt(now, telemetry.Event{Kind: "phase", Phase: p.String()})

@@ -28,7 +28,7 @@ func TestSessionObserver(t *testing.T) {
 	var buf bytes.Buffer
 	o := NewSessionObserver(reg, telemetry.NewEventSink(&buf))
 
-	o.RunPhase(session.PhaseBuild, 0)
+	o.RunPhase(session.PhaseWire, 0)
 	o.RunPhase(session.PhaseRun, time.Second)
 	for i := 0; i < 10; i++ {
 		o.Tick(time.Duration(i) * 20 * time.Millisecond)
@@ -61,7 +61,7 @@ func TestSessionObserver(t *testing.T) {
 		{"teledrive_session_faults_total", []string{"action"}, []string{"add"}, 1},
 		{"teledrive_session_faults_total", []string{"action"}, []string{"delete"}, 1},
 		{"teledrive_session_faults_total", []string{"action"}, []string{"error"}, 1},
-		{"teledrive_session_phases_total", []string{"phase"}, []string{session.PhaseBuild.String()}, 1},
+		{"teledrive_session_phases_total", []string{"phase"}, []string{session.PhaseWire.String()}, 1},
 		{"teledrive_session_phases_total", []string{"phase"}, []string{session.PhaseRun.String()}, 1},
 		{"teledrive_session_phases_total", []string{"phase"}, []string{session.PhaseTeardown.String()}, 1},
 	}

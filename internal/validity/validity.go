@@ -21,7 +21,6 @@ import (
 	"teledrive/internal/netem"
 	"teledrive/internal/rds"
 	"teledrive/internal/scenario"
-	"teledrive/internal/session"
 	"teledrive/internal/telemetry"
 	"teledrive/internal/transport"
 )
@@ -64,10 +63,6 @@ type Env struct {
 	// Transport: the simulator uses the reliable TCP-like channel; the
 	// model vehicle's smartphone link is datagram-style.
 	Transport transport.Options
-	// NewStack, when non-nil, selects the session stack builder (the
-	// model vehicle substitutes its scale-model plant; nil means the
-	// default simulator plant).
-	NewStack session.StackBuilder
 	// BaseDelay/BaseLoss are the environment's inherent link
 	// impairments, present even at the "no fault" point. The paper's
 	// model vehicle streams video through a smartphone camera over a
@@ -104,7 +99,6 @@ func ModelVehicle() Env {
 		Profile:      modelvehicle.Operator(),
 		DriverConfig: &cfg,
 		Transport:    transport.Options{Name: "model", Reliable: false},
-		NewStack:     modelvehicle.NewStack,
 		BaseDelay:    120 * time.Millisecond,
 		BaseLoss:     0.005,
 	}
@@ -156,7 +150,6 @@ func RunPoint(env Env, rule netem.Rule, label string, seed int64) (Point, error)
 		Profile:         env.Profile,
 		Seed:            seed,
 		Transport:       &topts,
-		NewStack:        env.NewStack,
 		DriverConfig:    env.DriverConfig,
 		PersistentRule:  ruleP,
 		PersistentLabel: label,
