@@ -50,7 +50,7 @@ test: vet lint
 # their determinism tests exercise multi-worker execution under the
 # detector. internal/campaignd runs in -short mode here: the tracker
 # ledger, journal, and wire codec race on every check, while the
-# multi-second localhost-TCP campaign battery stays in race-dist.
+# multi-second localhost-TCP campaign battery runs in race-dist.
 race:
 	$(GO) test -race $$($(GO) list ./... | grep -v internal/campaignd)
 	$(GO) test -race -short ./internal/campaignd
@@ -69,10 +69,12 @@ race-hub:
 	$(GO) test -race -run 'TestStream' -count=1 ./internal/transport
 
 # Distributed-campaign battery under the race detector: the campaignd
-# coordinator/worker protocol, the chaos suite (worker kill, coordinator
-# kill + journal resume, dropped/duplicated result frames), and the
+# coordinator/worker protocol, the chaos suite (worker killed, silent
+# or failing a cell, a cell outlasting the worker timeout, coordinator
+# kill + journal resume, duplicated result frames), and the
 # distributed-equivalence golden. Split out because it runs real
-# campaigns over localhost TCP and dominates a full `make race`.
+# campaigns over localhost TCP and dominates a full `make race`. Runs in
+# CI (scripts/ci.sh) after race-search.
 race-dist:
 	$(GO) test -race ./internal/campaignd
 
@@ -123,10 +125,9 @@ fuzz:
 check: build vet lint race fuzz
 
 # One-command CI gate: build + bench-smoke + fmt-check + vet + lint +
-# race + race-hub + race-search + fingerprint + fingerprint-pooled +
-# fingerprint-hub, in order, stopping at the first failure
-# (scripts/ci.sh). Fuzz and the full distributed battery are the
-# slower `check`/`race-dist` add-ons.
+# race + race-hub + race-search + race-dist + fingerprint +
+# fingerprint-pooled + fingerprint-hub, in order, stopping at the first
+# failure (scripts/ci.sh). Fuzz is the slower `check` add-on.
 ci:
 	./scripts/ci.sh
 

@@ -12,14 +12,18 @@
 //
 // Kill the coordinator mid-campaign and start it again with the same
 // flags: the journal replays completed cells and only the remainder is
-// re-leased. Tables are bit-identical in every case.
+// re-leased. A worker that sends nothing (no result, no heartbeat) for
+// -worker-timeout is dropped and its cells re-queued; workers heartbeat
+// at a twelfth of that timeout, which the coordinator sends them. A
+// cell that fails on a worker fails the campaign, as it would in
+// process. Tables are bit-identical in every case.
 //
 // Usage:
 //
 //	campaignd -listen HOST:PORT [-seed N] [-plan paper|random]
 //	          [-training] [-no-exclusions] [-subjects T1,T2,...]
-//	          [-scenarios test] [-journal FILE] [-lease-timeout 60s]
-//	          [-max-retries 5] [-worker-timeout 90s] [-strict]
+//	          [-scenarios test] [-journal FILE] [-max-retries 5]
+//	          [-worker-timeout 60s] [-strict]
 //	          [-fig4-subject auto] [-fig4-scenario 1]
 //	          [-telemetry-addr localhost:9090] [-progress=false]
 package main
@@ -50,20 +54,19 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("campaignd", flag.ContinueOnError)
 	var (
-		listen       = fs.String("listen", "localhost:9433", "TCP address to serve workers on")
-		seed         = fs.Int64("seed", 4, "campaign seed (fault placement)")
-		plan         = fs.String("plan", "paper", "fault plan: paper (Table II counts) or random")
-		training     = fs.Bool("training", false, "include the training drive (slower)")
-		noExclude    = fs.Bool("no-exclusions", false, "keep T7 and skip the paper's missing-data masks")
-		subjects     = fs.String("subjects", "", "comma-separated subject names (empty = full T1–T12 group)")
-		scenarios    = fs.String("scenarios", "", fmt.Sprintf("registered scenario set (empty = %q; known: %s)", campaignd.DefaultScenarioSet, strings.Join(campaignd.RegisteredScenarioSets(), ", ")))
-		journal      = fs.String("journal", "", "JSONL checkpoint file; a restarted coordinator resumes from it instead of re-running finished cells")
-		leaseTimeout = fs.Duration("lease-timeout", campaignd.DefaultLeaseTimeout, "re-queue a leased cell after this long without a result or heartbeat")
-		maxRetries   = fs.Int("max-retries", campaignd.DefaultMaxRetries, "abort the campaign once one cell has been re-queued this often")
-		workerTO     = fs.Duration("worker-timeout", campaignd.DefaultWorkerTimeout, "disconnect a worker whose connection goes silent")
-		fig4Sub      = fs.String("fig4-subject", "auto", "subject for the Fig 4 profile (auto = largest task-time inflation)")
-		fig4Scn      = fs.Int("fig4-scenario", 1, "scenario index for Fig 4 (0=follow, 1=slalom, 2=overtake)")
-		ops          = opsflags.Register(fs, "campaignd").
+		listen     = fs.String("listen", "localhost:9433", "TCP address to serve workers on")
+		seed       = fs.Int64("seed", 4, "campaign seed (fault placement)")
+		plan       = fs.String("plan", "paper", "fault plan: paper (Table II counts) or random")
+		training   = fs.Bool("training", false, "include the training drive (slower)")
+		noExclude  = fs.Bool("no-exclusions", false, "keep T7 and skip the paper's missing-data masks")
+		subjects   = fs.String("subjects", "", "comma-separated subject names (empty = full T1–T12 group)")
+		scenarios  = fs.String("scenarios", "", fmt.Sprintf("registered scenario set (empty = %q; known: %s)", campaignd.DefaultScenarioSet, strings.Join(campaignd.RegisteredScenarioSets(), ", ")))
+		journal    = fs.String("journal", "", "JSONL checkpoint file; a restarted coordinator resumes from it instead of re-running finished cells")
+		maxRetries = fs.Int("max-retries", campaignd.DefaultMaxRetries, "abort the campaign once one cell has been re-queued (its worker lost) more often than this")
+		workerTO   = fs.Duration("worker-timeout", campaignd.DefaultWorkerTimeout, "disconnect a worker silent this long and re-queue its cells; workers heartbeat at a twelfth of it")
+		fig4Sub    = fs.String("fig4-subject", "auto", "subject for the Fig 4 profile (auto = largest task-time inflation)")
+		fig4Scn    = fs.Int("fig4-scenario", 1, "scenario index for Fig 4 (0=follow, 1=slalom, 2=overtake)")
+		ops        = opsflags.Register(fs, "campaignd").
 				WithProgress("repaint a live progress line (cells done/total, elapsed, ETA) on stderr").
 				WithStrict()
 	)
@@ -95,7 +98,6 @@ func run(args []string) error {
 	coord := &campaignd.Coordinator{
 		Spec:          spec,
 		JournalPath:   *journal,
-		LeaseTimeout:  *leaseTimeout,
 		MaxRetries:    *maxRetries,
 		WorkerTimeout: *workerTO,
 		Registry:      reg,

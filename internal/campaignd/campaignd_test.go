@@ -251,7 +251,8 @@ func grepLine(s, substr string) string {
 // TestWorkerRejectsDigestMismatch: a worker whose locally rebuilt plan
 // disagrees with the coordinator's digest must refuse to run rather
 // than produce divergent results. A fake coordinator serves the plan
-// with a corrupted digest (and, in a second pass, a wrong cell count).
+// with a corrupted digest, a wrong cell count, or no worker timeout to
+// derive the heartbeat from.
 func TestWorkerRejectsDigestMismatch(t *testing.T) {
 	spec := testSpec()
 	plan, err := spec.BuildPlan()
@@ -259,14 +260,16 @@ func TestWorkerRejectsDigestMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	goodDigest := PlanDigest(plan)
+	timeout := DefaultWorkerTimeout.Nanoseconds()
 
 	cases := []struct {
 		name   string
 		plan   msg
 		wanted string
 	}{
-		{"corrupt digest", msg{T: msgPlan, Spec: &spec, Digest: "bogus", Cells: len(plan.Cells)}, "digest mismatch"},
-		{"wrong cell count", msg{T: msgPlan, Spec: &spec, Digest: goodDigest, Cells: len(plan.Cells) + 1}, "cell count mismatch"},
+		{"corrupt digest", msg{T: msgPlan, Spec: &spec, Digest: "bogus", Cells: len(plan.Cells), TimeoutNS: timeout}, "digest mismatch"},
+		{"wrong cell count", msg{T: msgPlan, Spec: &spec, Digest: goodDigest, Cells: len(plan.Cells) + 1, TimeoutNS: timeout}, "cell count mismatch"},
+		{"plan without a positive timeout", msg{T: msgPlan, Spec: &spec, Digest: goodDigest, Cells: len(plan.Cells)}, "plan carries worker timeout 0s"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -13,7 +14,9 @@ import (
 	"time"
 
 	"teledrive/internal/campaign"
+	"teledrive/internal/scenario"
 	"teledrive/internal/telemetry"
+	"teledrive/internal/transport"
 )
 
 // assertEqualToReference strips volatiles and deep-compares a chaos
@@ -198,58 +201,143 @@ func haltAfter(t *testing.T, journal string, n int) {
 	}
 }
 
-// TestChaosDroppedResultFrame drops a worker's first result message on
-// the floor (simulating a lost frame): the lease expires, the cell is
-// re-queued and re-run, and the tables still equal the single-process
-// run.
-func TestChaosDroppedResultFrame(t *testing.T) {
+// TestChaosSilentWorker: a worker that takes a lease and then sends
+// nothing — hung, or cut off by a partition that leaves its socket
+// open — is disconnected at WorkerTimeout, and its cell re-runs on a
+// clean worker. The tables still equal the single-process run.
+func TestChaosSilentWorker(t *testing.T) {
 	skipInShort(t)
 	reg := telemetry.NewRegistry()
-	coord := &Coordinator{
-		Spec:     testSpec(),
-		Registry: reg,
-		// The dropped cell recovers via lease expiry: keep it short, but
-		// longer than any single cell's simulation so healthy leases
-		// never churn.
-		LeaseTimeout: 2 * time.Second,
-	}
+	coord := &Coordinator{Spec: testSpec(), Registry: reg, WorkerTimeout: 2 * time.Second}
 	addr, done := startCoordinator(t, coord, nil)
 
-	var dropped atomic.Bool
-	lossy := &Worker{
-		ID:       "lossy",
-		Capacity: 1,
-		// No heartbeats: a heartbeat would keep extending the lease of
-		// the silently dropped cell forever.
-		HeartbeatEvery: time.Hour,
-		resultHook: func(m *msg) []*msg {
-			if dropped.CompareAndSwap(false, true) {
-				return nil // the frame vanishes
-			}
-			return []*msg{m}
-		},
+	silent, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
 	}
-	w1 := runWorker(context.Background(), lossy, addr)
-	w2 := runWorker(context.Background(), &Worker{ID: "clean", Capacity: 1, HeartbeatEvery: time.Hour}, addr)
+	if err := newSender(silent).send(&msg{T: msgHello, Worker: "silent", Capacity: 1}); err != nil {
+		t.Fatal(err)
+	}
+	sr := transport.NewStreamReader(silent)
+	for _, want := range []string{msgPlan, msgLease} {
+		if m, err := readMsg(sr); err != nil || m.T != want {
+			t.Fatalf("silent client: want %s, got %+v (%v)", want, m, err)
+		}
+	}
+	clean := runWorker(context.Background(), &Worker{ID: "clean", Capacity: 1}, addr)
+	assertConnClosed(t, silent)
 
 	cr := waitCoord(t, done, 2*time.Minute)
 	if cr.err != nil {
 		t.Fatalf("coordinator: %v", cr.err)
 	}
-	if err := <-w1; err != nil {
-		t.Fatalf("lossy worker: %v", err)
-	}
-	if err := <-w2; err != nil {
+	if err := <-clean; err != nil {
 		t.Fatalf("clean worker: %v", err)
-	}
-	if !dropped.Load() {
-		t.Fatal("hook never dropped a result; the test exercised nothing")
 	}
 	assertEqualToReference(t, cr.res)
 
 	prom := promDump(t, reg)
-	if !strings.Contains(prom, `event="requeued"`) {
-		t.Error("dropped result did not force a re-queue")
+	for _, want := range []string{
+		`campaignd_cells_total{event="requeued"} 1`,
+		`campaignd_protocol_errors_total 0`,
+	} {
+		if !strings.Contains(prom, want) {
+			t.Errorf("want %s, got:\n%s", want, prom)
+		}
+	}
+}
+
+// TestChaosCellOutlastsWorkerTimeout: a cell that runs longer than
+// WorkerTimeout does not cost its worker the connection, because the
+// worker heartbeats at a twelfth of the timeout the plan carries. The
+// hook holds the first result for three timeouts, so that cell's lease
+// outlasts the timeout; the campaign must finish with no requeue.
+func TestChaosCellOutlastsWorkerTimeout(t *testing.T) {
+	skipInShort(t)
+	// A disconnect needs a heartbeat to stall for 11/12 of this. Under
+	// -race on a 2-CPU VM the longest silence the coordinator saw was
+	// 112 ms: a stall of 29 ms past the 83 ms heartbeat period.
+	const timeout = time.Second
+	reg := telemetry.NewRegistry()
+	coord := &Coordinator{Spec: testSpec(), Registry: reg, WorkerTimeout: timeout}
+	addr, done := startCoordinator(t, coord, nil)
+
+	var held atomic.Bool
+	slow := &Worker{
+		ID:       "slow",
+		Capacity: 1,
+		resultHook: func(m *msg) []*msg {
+			if held.CompareAndSwap(false, true) {
+				time.Sleep(3 * timeout)
+			}
+			return []*msg{m}
+		},
+	}
+	w := runWorker(context.Background(), slow, addr)
+
+	cr := waitCoord(t, done, 2*time.Minute)
+	if cr.err != nil {
+		t.Fatalf("coordinator: %v", cr.err)
+	}
+	if err := <-w; err != nil {
+		t.Fatalf("slow worker: %v", err)
+	}
+	assertEqualToReference(t, cr.res)
+
+	prom := promDump(t, reg)
+	if want := `campaignd_cells_total{event="requeued"} 0`; !strings.Contains(prom, want) {
+		t.Errorf("want %s, got:\n%s", want, grepLine(prom, `event="requeued"`))
+	}
+}
+
+// TestChaosCellFailsOnWorker: a cell that fails on a worker fails the
+// campaign at once, with the error campaign.Run reports for the same
+// Spec. A cell is a pure function of its seed, so re-running it
+// elsewhere could only fail again. One capacity-1 worker runs the
+// cells in plan order, so the first failure to arrive is the lowest
+// failing cell, the one the in-process runner names.
+func TestChaosCellFailsOnWorker(t *testing.T) {
+	skipInShort(t)
+	// rds.Run rejects a scenario without a timeout before it simulates,
+	// so both of follow-vehicle's cells fail; the slalom's run first.
+	// Follow-vehicle's 7 POIs and the slalom's 4 cover T5's budget.
+	err := RegisterScenarioSet("broken", func() []*scenario.Scenario {
+		broken := scenario.FollowVehicle()
+		broken.Timeout = 0
+		return []*scenario.Scenario{scenario.LaneChangeSlalom(), broken}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := testSpec()
+	spec.ScenarioSet = "broken"
+	cfg, err := spec.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, want := campaign.Run(cfg)
+	if want == nil {
+		t.Fatal("in-process campaign succeeded; the scenario set is not broken")
+	}
+
+	reg := telemetry.NewRegistry()
+	coord := &Coordinator{Spec: spec, Registry: reg}
+	addr, done := startCoordinator(t, coord, nil)
+	w := runWorker(context.Background(), &Worker{ID: "w", Capacity: 1}, addr)
+
+	cr := waitCoord(t, done, 2*time.Minute)
+	<-w // disconnected by the failing coordinator
+	if cr.err == nil || cr.err.Error() != want.Error() {
+		t.Fatalf("distributed error:\n  %v\nwant the in-process error:\n  %v", cr.err, want)
+	}
+	prom := promDump(t, reg)
+	for _, want := range []string{
+		`campaignd_cells_total{event="errored"} 1`,
+		`campaignd_cells_total{event="requeued"} 0`,
+	} {
+		if !strings.Contains(prom, want) {
+			t.Errorf("want %s, got:\n%s", want, prom)
+		}
 	}
 }
 

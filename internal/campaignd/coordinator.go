@@ -14,16 +14,12 @@ import (
 
 // Defaults for the coordinator's fault-tolerance knobs.
 const (
-	// DefaultLeaseTimeout is how long a leased cell may go without a
-	// result or a heartbeat from its worker before it is re-queued.
-	DefaultLeaseTimeout = 60 * time.Second
 	// DefaultMaxRetries bounds how often one cell may be re-queued
-	// (lease expiry, worker death, or worker-reported failure) before
-	// the campaign aborts.
+	// after losing its worker before the campaign aborts.
 	DefaultMaxRetries = 5
 	// DefaultWorkerTimeout disconnects a worker whose connection goes
-	// silent (no results, no heartbeats).
-	DefaultWorkerTimeout = 90 * time.Second
+	// silent (no results, no heartbeats) and re-queues its leases.
+	DefaultWorkerTimeout = 60 * time.Second
 )
 
 // ErrHalted is returned by Coordinator.Run when it was stopped before
@@ -44,9 +40,9 @@ type Coordinator struct {
 	// JournalPath is the JSONL checkpoint file; empty disables crash
 	// recovery (results kept in memory only).
 	JournalPath string
-	// LeaseTimeout, MaxRetries, WorkerTimeout default to the constants
-	// above when zero.
-	LeaseTimeout  time.Duration
+	// MaxRetries and WorkerTimeout default to the constants above when
+	// zero. Workers heartbeat at a fixed fraction of WorkerTimeout,
+	// which the plan message carries to them.
 	MaxRetries    int
 	WorkerTimeout time.Duration
 	// Registry, when non-nil, exposes coordinator telemetry
@@ -60,13 +56,6 @@ type Coordinator struct {
 	// battery's deterministic coordinator kill. Production code leaves
 	// it zero.
 	haltAfterJournaled int
-}
-
-func (c *Coordinator) leaseTimeout() time.Duration {
-	if c.LeaseTimeout > 0 {
-		return c.LeaseTimeout
-	}
-	return DefaultLeaseTimeout
 }
 
 func (c *Coordinator) maxRetries() int {
@@ -112,8 +101,9 @@ type coordEvent struct {
 }
 
 // Run serves the campaign on ln until every cell has a journaled result
-// (returns the assembled campaign.Result), a cell exhausts its retries
-// or fails deterministically (returns the canonical cell error), or
+// (returns the assembled campaign.Result), a worker reports a failed
+// cell (returns the canonical cell error campaign.Run would return), a
+// cell loses more than MaxRetries workers (returns the abort error), or
 // stop is signalled (returns ErrHalted; resume by running again with
 // the same JournalPath). Run closes ln before returning.
 func (c *Coordinator) Run(stop <-chan struct{}, ln net.Listener) (*campaign.Result, error) {
@@ -150,7 +140,7 @@ func (c *Coordinator) Run(stop <-chan struct{}, ln net.Listener) (*campaign.Resu
 	// Accept loop: handshake runs per-connection so a slow or hostile
 	// client cannot stall the event loop; registration and everything
 	// after it happens on the event loop.
-	planMsg := &msg{T: msgPlan, Spec: &c.Spec, Digest: digest, Cells: len(plan.Cells)}
+	planMsg := &msg{T: msgPlan, Spec: &c.Spec, Digest: digest, Cells: len(plan.Cells), TimeoutNS: c.workerTimeout().Nanoseconds()}
 	var connSeq int
 	go func() {
 		for {
@@ -170,9 +160,6 @@ func (c *Coordinator) Run(stop <-chan struct{}, ln net.Listener) (*campaign.Resu
 		}
 	}()
 
-	scan := newWallTicker(c.scanEvery())
-	defer scan.Stop()
-
 	disconnect := func(wc *workerConn) error {
 		if _, ok := workers[wc.key]; !ok {
 			return nil
@@ -190,9 +177,8 @@ func (c *Coordinator) Run(stop <-chan struct{}, ln net.Listener) (*campaign.Resu
 	}
 
 	fill := func(wc *workerConn) error {
-		now := nowWall()
 		for len(wc.leases) < wc.capacity {
-			cell, ok := tr.next(wc.key, now.Add(c.leaseTimeout()))
+			cell, ok := tr.next(wc.key)
 			if !ok {
 				return nil
 			}
@@ -223,23 +209,6 @@ func (c *Coordinator) Run(stop <-chan struct{}, ln net.Listener) (*campaign.Resu
 		case <-stop:
 			c.logf("campaignd: halt requested with %d/%d cells done", tr.doneCount, len(plan.Cells))
 			return nil, ErrHalted
-
-		case <-scan.C:
-			expired, err := tr.expire(nowWall())
-			for _, e := range expired {
-				c.logf("campaignd: lease on cell %d (worker key %s) expired, re-queued", e.cell, e.worker)
-				ins.CellsRequeued.Inc()
-				if wc, ok := workers[e.worker]; ok {
-					delete(wc.leases, e.cell)
-					wc.leaseG.Set(int64(len(wc.leases)))
-				}
-			}
-			if err != nil {
-				return nil, err
-			}
-			if err := fillAll(); err != nil {
-				return nil, err
-			}
 
 		case ev := <-events:
 			if ev.m == nil { // connection lost
@@ -274,7 +243,6 @@ func (c *Coordinator) Run(stop <-chan struct{}, ln net.Listener) (*campaign.Resu
 
 			switch ev.m.T {
 			case msgHeartbeat:
-				tr.touch(ev.wc.key, nowWall().Add(c.leaseTimeout()))
 				ev.wc.hbCtr.Inc()
 
 			case msgResult:
@@ -294,8 +262,7 @@ func (c *Coordinator) Run(stop <-chan struct{}, ln net.Listener) (*campaign.Resu
 				out, err := decodeOutcome(ev.m.Outcome)
 				if err != nil {
 					// Framed correctly but not a valid outcome: hostile or
-					// broken worker. Drop it; the lease machinery re-runs the
-					// cell elsewhere.
+					// broken worker. Disconnecting it re-queues the cell.
 					ins.protocolError()
 					c.logf("campaignd: worker %s sent undecodable outcome for cell %d: %v", ev.wc.name, cell, err)
 					if err := disconnect(ev.wc); err != nil {
@@ -304,10 +271,9 @@ func (c *Coordinator) Run(stop <-chan struct{}, ln net.Listener) (*campaign.Resu
 					continue
 				}
 				if !tr.complete(cell) {
-					// First write won earlier — a re-run after lease expiry
-					// or a duplicated frame. Results are seed-determined and
-					// identical, so dropping is lossless; counting keeps the
-					// retry machinery observable.
+					// First write won earlier — a duplicated frame. Results
+					// are seed-determined and identical, so dropping is
+					// lossless; counting keeps the duplicate observable.
 					ins.CellsDupes.Inc()
 					if err := fill(ev.wc); err != nil {
 						return nil, err
@@ -348,24 +314,13 @@ func (c *Coordinator) Run(stop <-chan struct{}, ln net.Listener) (*campaign.Resu
 					}
 					continue
 				}
-				if !ev.wc.leases[cell] {
-					// Lease already revoked (expiry re-queued the cell) or
-					// the cell completed elsewhere — nothing left to do.
-					ins.CellsErrored.Inc()
-					continue
-				}
-				delete(ev.wc.leases, cell)
+				// A cell is a pure function of its seed and the digest
+				// proved both sides run the same plan, so it would fail on
+				// every worker: fail the campaign as the in-process runner
+				// does.
 				ins.CellsErrored.Inc()
-				ins.CellsRequeued.Inc()
 				c.logf("campaignd: worker %s failed cell %d: %s", ev.wc.name, cell, ev.m.Error)
-				if err := tr.requeue(cell); err != nil {
-					// Systematic failure: surface it exactly like the
-					// in-process runner would.
-					return nil, plan.CellError(plan.Cells[cell], fmt.Errorf("failed on every attempt, last: %s", ev.m.Error))
-				}
-				if err := fillAll(); err != nil {
-					return nil, err
-				}
+				return nil, plan.CellError(plan.Cells[cell], errors.New(ev.m.Error))
 
 			default:
 				ins.protocolError()
@@ -376,20 +331,6 @@ func (c *Coordinator) Run(stop <-chan struct{}, ln net.Listener) (*campaign.Resu
 			}
 		}
 	}
-}
-
-// scanEvery derives the lease-expiry scan period: a quarter of the
-// lease timeout, clamped to stay responsive in tests and cheap in
-// production.
-func (c *Coordinator) scanEvery() time.Duration {
-	d := c.leaseTimeout() / 4
-	if d < 10*time.Millisecond {
-		d = 10 * time.Millisecond
-	}
-	if d > 5*time.Second {
-		d = 5 * time.Second
-	}
-	return d
 }
 
 // handshake performs the per-connection hello/plan exchange off the

@@ -17,7 +17,7 @@ type coordInstruments struct {
 	CellsPlanned  *telemetry.Counter // cells in the plan
 	CellsRestored *telemetry.Counter // completed in a previous run, replayed from the journal
 	CellsDone     *telemetry.Counter // results accepted this run
-	CellsRequeued *telemetry.Counter // leases revoked (expiry or worker death)
+	CellsRequeued *telemetry.Counter // leases revoked by a lost worker connection
 	CellsDupes    *telemetry.Counter // results dropped by first-write-wins
 	CellsErrored  *telemetry.Counter // worker-reported cell failures
 

@@ -1,20 +1,16 @@
 package campaignd
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // cellState is the lifecycle of one plan cell on the coordinator.
 //
 //	pending --next()--> leased --complete()--> done
 //	   ^                  |
-//	   +---expire()/release() (retries++, bounded)
+//	   +----release()-----+ (worker connection lost; retries++, bounded)
 //
-// complete() accepts a result from ANY state except done — a worker
-// whose lease expired may still deliver a valid result (the cell's seed
-// makes every execution identical), and the first write wins. Every
-// later result for the same cell is a counted duplicate, so re-leased
+// complete() accepts a result from ANY state except done, and the first
+// write wins: the cell's seed makes every execution identical, so every
+// later result for the same cell is a counted duplicate, and re-leased
 // or re-executed cells can never double-count in the aggregation (see
 // TestLeaseRequeueNeverDoubleCounts).
 type cellState uint8
@@ -25,25 +21,13 @@ const (
 	stateDone
 )
 
-// leaseInfo tracks the current lease of one cell.
-type leaseInfo struct {
-	worker   string
-	deadline time.Time
-}
-
-// expiredLease reports a lease the tracker revoked.
-type expiredLease struct {
-	cell   int
-	worker string
-}
-
 // tracker is the coordinator's cell state machine. It is purely
-// deterministic — every method takes explicit times — so the lease
-// semantics are property-testable without a network or a clock. Not
-// safe for concurrent use; the coordinator event loop owns it.
+// deterministic, so the lease semantics are property-testable without
+// a network or a clock. Not safe for concurrent use; the coordinator
+// event loop owns it.
 type tracker struct {
 	states     []cellState
-	leases     []leaseInfo
+	holders    []string // worker key holding each leased cell
 	retries    []int
 	queue      []int // pending cells, FIFO; may contain stale (done) entries
 	doneCount  int
@@ -53,7 +37,7 @@ type tracker struct {
 func newTracker(cells, maxRetries int) *tracker {
 	t := &tracker{
 		states:     make([]cellState, cells),
-		leases:     make([]leaseInfo, cells),
+		holders:    make([]string, cells),
 		retries:    make([]int, cells),
 		queue:      make([]int, 0, cells),
 		maxRetries: maxRetries,
@@ -73,10 +57,9 @@ func (t *tracker) restore(cell int) {
 	t.doneCount++
 }
 
-// next pops the lowest pending cell and leases it to worker until
-// deadline. ok=false when nothing is pending (cells may still be in
-// flight elsewhere).
-func (t *tracker) next(worker string, deadline time.Time) (int, bool) {
+// next pops the lowest pending cell and leases it to worker. ok=false
+// when nothing is pending (cells may still be in flight elsewhere).
+func (t *tracker) next(worker string) (int, bool) {
 	for len(t.queue) > 0 {
 		cell := t.queue[0]
 		t.queue = t.queue[1:]
@@ -84,7 +67,7 @@ func (t *tracker) next(worker string, deadline time.Time) (int, bool) {
 			continue // completed (late result) or re-leased while queued
 		}
 		t.states[cell] = stateLeased
-		t.leases[cell] = leaseInfo{worker: worker, deadline: deadline}
+		t.holders[cell] = worker
 		return cell, true
 	}
 	return 0, false
@@ -99,65 +82,32 @@ func (t *tracker) complete(cell int) bool {
 		return false
 	}
 	t.states[cell] = stateDone
-	t.leases[cell] = leaseInfo{}
+	t.holders[cell] = ""
 	t.doneCount++
 	return true
 }
 
-// touch extends every lease held by worker — the heartbeat path.
-func (t *tracker) touch(worker string, deadline time.Time) {
-	for i := range t.leases {
-		if t.states[i] == stateLeased && t.leases[i].worker == worker {
-			t.leases[i].deadline = deadline
-		}
-	}
-}
-
-// expire revokes leases whose deadline has passed and requeues their
-// cells. It returns the revoked leases, or an error once a cell has
-// been requeued more than maxRetries times — at that point the cell is
-// systematically failing and the campaign must abort rather than spin.
-func (t *tracker) expire(now time.Time) ([]expiredLease, error) {
-	var out []expiredLease
-	for i := range t.leases {
-		if t.states[i] != stateLeased || !t.leases[i].deadline.Before(now) {
-			continue
-		}
-		out = append(out, expiredLease{cell: i, worker: t.leases[i].worker})
-		if err := t.requeue(i); err != nil {
-			return out, err
-		}
-	}
-	return out, nil
-}
-
-// release revokes every lease held by worker (connection loss) and
-// requeues the cells.
+// release revokes every lease held by worker (connection lost) and
+// requeues the cells at the back of the queue. It returns the requeued
+// cells, or an error once a cell has been requeued more than maxRetries
+// times — a cell that keeps taking its workers down with it is a poison
+// cell, and the campaign must abort rather than spin.
 func (t *tracker) release(worker string) ([]int, error) {
 	var out []int
-	for i := range t.leases {
-		if t.states[i] != stateLeased || t.leases[i].worker != worker {
+	for i := range t.holders {
+		if t.states[i] != stateLeased || t.holders[i] != worker {
 			continue
 		}
 		out = append(out, i)
-		if err := t.requeue(i); err != nil {
-			return out, err
+		t.states[i] = statePending
+		t.holders[i] = ""
+		t.queue = append(t.queue, i)
+		t.retries[i]++
+		if t.retries[i] > t.maxRetries {
+			return out, fmt.Errorf("campaignd: cell %d requeued %d times (max %d) — aborting campaign", i, t.retries[i], t.maxRetries)
 		}
 	}
 	return out, nil
-}
-
-// requeue returns a leased cell to the pending queue, counting the
-// retry.
-func (t *tracker) requeue(cell int) error {
-	t.states[cell] = statePending
-	t.leases[cell] = leaseInfo{}
-	t.queue = append(t.queue, cell)
-	t.retries[cell]++
-	if t.retries[cell] > t.maxRetries {
-		return fmt.Errorf("campaignd: cell %d requeued %d times (max %d) — aborting campaign", cell, t.retries[cell], t.maxRetries)
-	}
-	return nil
 }
 
 // done reports whether every cell has a result.

@@ -3,14 +3,11 @@ package campaignd
 import (
 	"math/rand"
 	"testing"
-	"time"
 )
-
-func at(s int) time.Time { return time.Unix(int64(s), 0) }
 
 func TestTrackerLeaseLifecycle(t *testing.T) {
 	tr := newTracker(3, 5)
-	cell, ok := tr.next("a", at(10))
+	cell, ok := tr.next("a")
 	if !ok || cell != 0 {
 		t.Fatalf("first lease: got (%d,%v), want (0,true)", cell, ok)
 	}
@@ -24,7 +21,7 @@ func TestTrackerLeaseLifecycle(t *testing.T) {
 		t.Fatal("done with 2 cells outstanding")
 	}
 	for i := 0; i < 2; i++ {
-		cell, ok := tr.next("a", at(10))
+		cell, ok := tr.next("a")
 		if !ok {
 			t.Fatalf("lease %d: queue empty", i)
 		}
@@ -33,47 +30,16 @@ func TestTrackerLeaseLifecycle(t *testing.T) {
 	if !tr.done() {
 		t.Fatal("all complete, tracker not done")
 	}
-	if _, ok := tr.next("a", at(10)); ok {
+	if _, ok := tr.next("a"); ok {
 		t.Fatal("lease after done")
-	}
-}
-
-func TestTrackerExpiryRequeues(t *testing.T) {
-	tr := newTracker(1, 5)
-	if _, ok := tr.next("a", at(10)); !ok {
-		t.Fatal("no lease")
-	}
-	exp, err := tr.expire(at(5))
-	if err != nil || len(exp) != 0 {
-		t.Fatalf("premature expiry: %v %v", exp, err)
-	}
-	exp, err = tr.expire(at(11))
-	if err != nil || len(exp) != 1 || exp[0].cell != 0 || exp[0].worker != "a" {
-		t.Fatalf("expiry: %+v %v", exp, err)
-	}
-	cell, ok := tr.next("b", at(20))
-	if !ok || cell != 0 {
-		t.Fatal("expired cell must be re-leasable")
-	}
-}
-
-func TestTrackerHeartbeatExtendsLease(t *testing.T) {
-	tr := newTracker(1, 5)
-	tr.next("a", at(10))
-	tr.touch("a", at(30))
-	if exp, _ := tr.expire(at(11)); len(exp) != 0 {
-		t.Fatal("heartbeat did not extend the lease")
-	}
-	if exp, _ := tr.expire(at(31)); len(exp) != 1 {
-		t.Fatal("extended lease never expired")
 	}
 }
 
 func TestTrackerReleaseOnWorkerDeath(t *testing.T) {
 	tr := newTracker(4, 5)
-	tr.next("a", at(10))
-	tr.next("b", at(10))
-	tr.next("a", at(10))
+	tr.next("a")
+	tr.next("b")
+	tr.next("a")
 	requeued, err := tr.release("a")
 	if err != nil || len(requeued) != 2 {
 		t.Fatalf("release: %v %v", requeued, err)
@@ -81,11 +47,11 @@ func TestTrackerReleaseOnWorkerDeath(t *testing.T) {
 	// b's lease must be untouched; the two re-queued cells plus cell 3
 	// are leasable.
 	for i := 0; i < 3; i++ {
-		if _, ok := tr.next("c", at(20)); !ok {
+		if _, ok := tr.next("c"); !ok {
 			t.Fatalf("re-queued lease %d missing", i)
 		}
 	}
-	if _, ok := tr.next("c", at(20)); ok {
+	if _, ok := tr.next("c"); ok {
 		t.Fatal("leased more cells than exist")
 	}
 }
@@ -93,10 +59,10 @@ func TestTrackerReleaseOnWorkerDeath(t *testing.T) {
 func TestTrackerBoundedRetries(t *testing.T) {
 	tr := newTracker(1, 2)
 	for attempt := 0; ; attempt++ {
-		if _, ok := tr.next("a", at(10)); !ok {
+		if _, ok := tr.next("a"); !ok {
 			t.Fatal("no lease")
 		}
-		_, err := tr.expire(at(11))
+		_, err := tr.release("a")
 		if err != nil {
 			if attempt != 2 {
 				t.Fatalf("aborted on requeue %d, want the 3rd (maxRetries=2)", attempt+1)
@@ -109,22 +75,22 @@ func TestTrackerBoundedRetries(t *testing.T) {
 	}
 }
 
-// TestLeaseRequeueNeverDoubleCounts is the issue's scripted property:
-// worker a's lease expires, the cell is re-leased to worker b, and BOTH
+// TestLeaseRequeueNeverDoubleCounts is the scripted property: worker
+// a's lease is released, the cell is re-leased to worker b, and BOTH
 // deliver the (identical, seed-determined) result — a after its lease
-// expired. Exactly one write wins, deterministically the first.
+// was revoked. Exactly one write wins, deterministically the first.
 func TestLeaseRequeueNeverDoubleCounts(t *testing.T) {
 	tr := newTracker(1, 5)
-	cell, _ := tr.next("a", at(10))
-	if exp, _ := tr.expire(at(11)); len(exp) != 1 {
-		t.Fatal("lease did not expire")
+	cell, _ := tr.next("a")
+	if requeued, _ := tr.release("a"); len(requeued) != 1 {
+		t.Fatal("lease was not released")
 	}
-	if c2, ok := tr.next("b", at(20)); !ok || c2 != cell {
+	if c2, ok := tr.next("b"); !ok || c2 != cell {
 		t.Fatalf("re-lease gave cell %d, want %d", c2, cell)
 	}
 	// Late result from a (lease long revoked) arrives first: it wins.
 	if !tr.complete(cell) {
-		t.Fatal("late result from expired lease must still count (first write)")
+		t.Fatal("late result from a released lease must still count (first write)")
 	}
 	// b's result for the same cell is a duplicate.
 	if tr.complete(cell) {
@@ -136,7 +102,7 @@ func TestLeaseRequeueNeverDoubleCounts(t *testing.T) {
 }
 
 // TestTrackerCompletionPropertyRandomized drives the tracker through
-// randomized lease/expire/release/complete/heartbeat storms and checks
+// randomized lease/release/complete storms and checks
 // the aggregation invariants the distributed equivalence rests on:
 // complete() returns true exactly once per cell, doneCount equals the
 // number of distinct completed cells, and no cell is ever lost (every
@@ -148,15 +114,13 @@ func TestTrackerCompletionPropertyRandomized(t *testing.T) {
 		cells := 1 + rng.Intn(12)
 		tr := newTracker(cells, 1<<30) // unbounded retries: chaos must never lose a cell
 		wins := make([]int, cells)
-		now := 0
 		leased := make(map[int]bool)
 
 		for step := 0; step < 400 && !tr.done(); step++ {
-			now++
-			switch rng.Intn(5) {
+			switch rng.Intn(4) {
 			case 0: // lease to a random worker
 				w := workers[rng.Intn(len(workers))]
-				if cell, ok := tr.next(w, at(now+3+rng.Intn(5))); ok {
+				if cell, ok := tr.next(w); ok {
 					leased[cell] = true
 				}
 			case 1: // a leased (or stale) cell delivers its result
@@ -172,11 +136,7 @@ func TestTrackerCompletionPropertyRandomized(t *testing.T) {
 				if tr.complete(cell) {
 					wins[cell]++
 				}
-			case 3: // clock jump: expire whatever is overdue
-				if _, err := tr.expire(at(now)); err != nil {
-					t.Fatalf("seed %d: unbounded retries errored: %v", seed, err)
-				}
-			case 4: // a worker dies
+			case 3: // a worker dies
 				if _, err := tr.release(workers[rng.Intn(len(workers))]); err != nil {
 					t.Fatalf("seed %d: release errored: %v", seed, err)
 				}

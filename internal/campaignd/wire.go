@@ -9,8 +9,8 @@
 // cross the wire. A plan digest guards the assumption; a JSONL journal
 // of completed cells makes a killed coordinator resumable; a lease
 // state machine with bounded retry makes worker death survivable; and
-// first-write-wins result acceptance makes duplicated or re-executed
-// cells harmless. Final tables are bit-identical to
+// first-write-wins result acceptance makes duplicated results
+// harmless. Final tables are bit-identical to
 // `campaign -workers N` — enforced by the equivalence golden in
 // testdata and the chaos suite.
 package campaignd
@@ -28,13 +28,13 @@ import (
 
 // Wire message types. The protocol is a strict request/response-free
 // exchange of typed messages; either side may close the connection at
-// any point and the coordinator's lease machinery absorbs the loss.
+// any point: the coordinator re-queues a lost connection's leases.
 const (
 	msgHello     = "hello"  // worker → coordinator: identity + capacity
-	msgPlan      = "plan"   // coordinator → worker: campaign spec + plan digest
+	msgPlan      = "plan"   // coordinator → worker: campaign spec, plan digest, worker timeout
 	msgLease     = "lease"  // coordinator → worker: run cell N
 	msgResult    = "result" // worker → coordinator: cell N's outcome
-	msgHeartbeat = "hb"     // worker → coordinator: liveness (extends leases)
+	msgHeartbeat = "hb"     // worker → coordinator: liveness (keeps a busy worker inside its timeout)
 	msgDone      = "done"   // coordinator → worker: campaign complete, disconnect
 	msgError     = "err"    // worker → coordinator: cell N failed to run
 )
@@ -53,6 +53,9 @@ type msg struct {
 	Spec   *Spec  `json:"spec,omitempty"`
 	Digest string `json:"digest,omitempty"`
 	Cells  int    `json:"cells,omitempty"`
+	// TimeoutNS is the coordinator's worker timeout; the worker
+	// heartbeats at a fixed fraction of it.
+	TimeoutNS int64 `json:"timeout_ns,omitempty"`
 
 	// msgLease / msgResult / msgError
 	Cell      int             `json:"cell"`

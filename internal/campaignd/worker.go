@@ -17,11 +17,10 @@ import (
 	"teledrive/internal/transport"
 )
 
-// DefaultHeartbeatEvery is the worker's liveness cadence. It must be
-// well under the coordinator's lease timeout: a heartbeat extends every
-// lease the worker holds, so long-running cells survive without the
-// worker having to predict their duration.
-const DefaultHeartbeatEvery = 5 * time.Second
+// heartbeatsPerTimeout is how many heartbeats a worker sends per
+// coordinator worker timeout: a busy worker stays connected however
+// long its cells run, and only a stall of eleven periods drops it.
+const heartbeatsPerTimeout = 12
 
 // Worker connects to a coordinator, rebuilds the campaign plan locally
 // from the received Spec, and runs leased cells on its own pool. The
@@ -35,8 +34,6 @@ type Worker struct {
 	// Capacity is the number of cells simulated concurrently; 0 means
 	// runtime.GOMAXPROCS(0).
 	Capacity int
-	// HeartbeatEvery defaults to DefaultHeartbeatEvery.
-	HeartbeatEvery time.Duration
 	// Registry, when non-nil, instruments the worker: its own
 	// lease/result throughput (campaignd_worker_* series) plus the
 	// per-run netem/bridge/session instruments, which aggregate across
@@ -47,7 +44,7 @@ type Worker struct {
 
 	// resultHook, when non-nil, intercepts each outgoing result message
 	// and returns the messages actually sent — the chaos battery's
-	// frame-drop/duplicate fault injector. Production code leaves it
+	// withhold/duplicate fault injector. Production code leaves it
 	// nil (identity).
 	resultHook func(*msg) []*msg
 }
@@ -59,13 +56,6 @@ func (w *Worker) capacity() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-func (w *Worker) heartbeatEvery() time.Duration {
-	if w.HeartbeatEvery > 0 {
-		return w.HeartbeatEvery
-	}
-	return DefaultHeartbeatEvery
-}
-
 func (w *Worker) logf(format string, args ...any) {
 	if w.Logf != nil {
 		w.Logf(format, args...)
@@ -75,8 +65,8 @@ func (w *Worker) logf(format string, args ...any) {
 // Run dials the coordinator at addr, performs the hello/plan handshake,
 // and runs leased cells until the coordinator sends done (returns nil),
 // the connection dies (returns the read error), or ctx is cancelled
-// (returns ctx.Err()). The coordinator's lease machinery makes any
-// abrupt exit safe: unfinished cells are re-queued to other workers.
+// (returns ctx.Err()). Any abrupt exit is safe: the coordinator
+// re-queues the unfinished cells of a lost connection to other workers.
 func (w *Worker) Run(ctx context.Context, addr string) error {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -102,6 +92,10 @@ func (w *Worker) Run(ctx context.Context, addr string) error {
 	if pm.T != msgPlan || pm.Spec == nil {
 		return transport.ProtocolErrorf("expected plan, got %q", pm.T)
 	}
+	heartbeatEvery := time.Duration(pm.TimeoutNS) / heartbeatsPerTimeout
+	if heartbeatEvery <= 0 {
+		return transport.ProtocolErrorf("plan carries worker timeout %v; want at least %dns to heartbeat in", time.Duration(pm.TimeoutNS), heartbeatsPerTimeout)
+	}
 	plan, err := pm.Spec.BuildPlan()
 	if err != nil {
 		return fmt.Errorf("campaignd: worker cannot build plan: %w", err)
@@ -114,9 +108,7 @@ func (w *Worker) Run(ctx context.Context, addr string) error {
 	}
 	w.logf("campaignd: worker %s connected to %s: %d cells, digest %.12s…", w.ID, addr, len(plan.Cells), pm.Digest)
 
-	// Sized to the whole plan: the coordinator may re-lease expired
-	// cells to this worker while its runners are busy, and a lease must
-	// never block the read loop.
+	// Sized to the whole plan so that a lease never blocks the read loop.
 	jobs := make(chan int, len(plan.Cells)+1)
 	var wg sync.WaitGroup
 	for i := 0; i < w.capacity(); i++ {
@@ -132,7 +124,7 @@ func (w *Worker) Run(ctx context.Context, addr string) error {
 	hbWg.Add(1)
 	go func() {
 		defer hbWg.Done()
-		tick := newWallTicker(w.heartbeatEvery())
+		tick := newWallTicker(heartbeatEvery)
 		defer tick.Stop()
 		for {
 			select {

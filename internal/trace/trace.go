@@ -181,7 +181,6 @@ type Recorder struct {
 	otherProjs map[world.ActorID]*geom.Projector
 
 	activeLabel string
-	activeFrom  time.Duration
 }
 
 // NewPassiveRecorder creates a recorder for a run. It installs no world
@@ -237,7 +236,6 @@ func (r *Recorder) SetCondition(now time.Duration, label string) {
 		}
 	}
 	r.activeLabel = label
-	r.activeFrom = now
 	if label != "" {
 		r.Log.ConditionSpans = append(r.Log.ConditionSpans, ConditionSpan{Label: label, From: now})
 	}

@@ -1,11 +1,10 @@
 #!/bin/sh
 # ci.sh — the one-command verification gate for a PR branch:
 # build + bench-smoke + fmt-check + vet + lint + race + race-hub +
-# race-search + fingerprint + fingerprint-pooled + fingerprint-hub, in
-# order, stopping at the first failure. Slower batteries are separate
-# opt-ins: `make fuzz` (hostile-input budget), `make race-dist` (full
-# distributed campaign battery over localhost TCP), `make bench` (paper
-# tables).
+# race-search + race-dist + fingerprint + fingerprint-pooled +
+# fingerprint-hub, in order, stopping at the first failure. Slower
+# batteries are separate opt-ins: `make fuzz` (hostile-input budget),
+# `make bench` (paper tables).
 #
 # Each stage's full output is streamed and also kept in
 # .ci-logs/<target>.log, so a failure deep in a long stage (a -race FAIL
@@ -36,7 +35,7 @@ stage() {
 }
 
 for target in build bench-smoke fmt-check vet lint race race-hub race-search \
-	fingerprint fingerprint-pooled fingerprint-hub; do
+	race-dist fingerprint fingerprint-pooled fingerprint-hub; do
 	stage "$target"
 done
 
