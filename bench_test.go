@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -308,7 +309,9 @@ func BenchmarkCampaignWorkers(b *testing.B) {
 // cells) on the default worker pool, reported as cells_per_s = cells ÷
 // campaign wall clock. One sequential-runner sub-benchmark isolates
 // the per-worker arena + shared-artifact win without any scheduling
-// noise; the pooled one adds the worker pool on top.
+// noise; the pooled one adds the worker pool on top. retained_mb is the
+// heap still in use after a GC with the last campaign Result live:
+// what a finished campaign holds on to.
 func BenchmarkCampaignCellsThroughput(b *testing.B) {
 	for _, bc := range []struct {
 		name    string
@@ -331,6 +334,10 @@ func BenchmarkCampaignCellsThroughput(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+			runtime.GC()
+			var ms runtime.MemStats
+			runtime.ReadMemStats(&ms)
+			b.ReportMetric(float64(ms.HeapInuse)/(1<<20), "retained_mb")
 			cells, cellSum := campaignCellStats(res)
 			b.ReportMetric(res.Elapsed.Seconds(), "wall_s")
 			if res.Elapsed > 0 {

@@ -95,9 +95,7 @@ func run(args []string) error {
 	}
 
 	fmt.Printf("running campaign: seed=%d plan=%s training=%v workers=%d ...\n", *seed, *plan, *training, *workers)
-	ins := campaign.NewInstruments(reg)
-	stopProgress := ops.StartProgress("cells", ins.CellsPlanned.Value, ins.Done)
-	res, err := campaign.Run(campaign.Config{
+	p, err := campaign.BuildPlan(campaign.Config{
 		Seed:                 *seed,
 		Plan:                 mode,
 		IncludeTraining:      *training,
@@ -105,6 +103,13 @@ func run(args []string) error {
 		Workers:              *workers,
 		Metrics:              reg,
 	})
+	if err != nil {
+		return err
+	}
+	exportLogs(p, *logsDir, *csvDir)
+	ins := campaign.NewInstruments(reg)
+	stopProgress := ops.StartProgress("cells", ins.CellsPlanned.Value, ins.Done)
+	res, err := p.Execute()
 	stopProgress()
 	if err != nil {
 		return err
@@ -113,10 +118,11 @@ func run(args []string) error {
 
 	report.WriteCampaignReport(os.Stdout, res, *fig4Sub, *fig4Scn)
 
-	if *logsDir != "" || *csvDir != "" {
-		if err := exportLogs(res, *logsDir, *csvDir); err != nil {
-			return err
-		}
+	if *logsDir != "" {
+		fmt.Printf("wrote JSON logs to %s\n", *logsDir)
+	}
+	if *csvDir != "" {
+		fmt.Printf("wrote CSV logs to %s\n", *csvDir)
 	}
 	if *htmlOut != "" {
 		f, err := os.Create(*htmlOut)
@@ -153,35 +159,31 @@ func runWorker(reg *telemetry.Registry, addr, id string, capacity int) error {
 	return w.Run(ctx, addr)
 }
 
-func exportLogs(res *campaign.Result, logsDir, csvDir string) error {
-	for _, sub := range res.Subjects {
-		for _, run := range sub.Runs {
-			for _, r := range []struct {
-				kind string
-				log  *trace.RunLog
-			}{
-				{"golden", run.Golden.Outcome.Log},
-				{"faulty", run.Faulty.Outcome.Log},
-			} {
-				name := fmt.Sprintf("%s_%s_%s", sub.Profile.Name, run.Scenario.Name, r.kind)
-				if logsDir != "" {
-					if err := trace.SaveJSONFile(filepath.Join(logsDir, name+".json"), r.log); err != nil {
-						return err
-					}
-				}
-				if csvDir != "" {
-					if err := trace.ExportCSV(filepath.Join(csvDir, name), r.log); err != nil {
-						return err
-					}
+// exportLogs gives every golden and faulty cell of the plan a log sink
+// that writes the drive's full run log — as JSON under logsDir and as
+// CSV under csvDir, either of which may be empty — while the log is
+// still valid: a campaign result keeps no per-tick series to export
+// afterwards. A write error fails the cell, and so the campaign.
+func exportLogs(p *campaign.Plan, logsDir, csvDir string) {
+	if logsDir == "" && csvDir == "" {
+		return
+	}
+	for i := range p.Cells {
+		c := &p.Cells[i]
+		if c.Kind == campaign.CellTraining {
+			continue
+		}
+		name := fmt.Sprintf("%s_%s_%s", p.Subjects[c.Subject].Profile.Name, c.Spec.Scenario.Name, c.Kind)
+		c.Spec.LogSink = func(log *trace.RunLog) error {
+			if logsDir != "" {
+				if err := trace.SaveJSONFile(filepath.Join(logsDir, name+".json"), log); err != nil {
+					return err
 				}
 			}
+			if csvDir != "" {
+				return trace.ExportCSV(filepath.Join(csvDir, name), log)
+			}
+			return nil
 		}
 	}
-	if logsDir != "" {
-		fmt.Printf("wrote JSON logs to %s\n", logsDir)
-	}
-	if csvDir != "" {
-		fmt.Printf("wrote CSV logs to %s\n", csvDir)
-	}
-	return nil
 }

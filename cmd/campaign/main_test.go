@@ -2,11 +2,15 @@ package main
 
 import (
 	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"teledrive/internal/campaign"
 	"teledrive/internal/core"
+	"teledrive/internal/driver"
 	"teledrive/internal/opsflags"
 	"teledrive/internal/rds"
 	"teledrive/internal/trace"
@@ -90,5 +94,61 @@ func TestStrictFailsOnFailedInjections(t *testing.T) {
 func TestStrictPassesOnCleanCampaign(t *testing.T) {
 	if err := strictFlags(t, "-strict").CheckStrict(resultWithFailedInjections(0).TotalFailedInjections()); err != nil {
 		t.Fatalf("clean campaign must pass -strict: %v", err)
+	}
+}
+
+// TestExportLogsPerDrive runs a one-subject campaign with -logs and
+// -csv sinks: every golden and faulty drive writes one JSON log and one
+// CSV set, and each JSON log, loaded back, fingerprints to its cell's
+// Outcome.Fingerprint — the export is the full log, not what the
+// campaign result keeps of it.
+func TestExportLogsPerDrive(t *testing.T) {
+	t5, _ := driver.SubjectByName("T5")
+	p, err := campaign.BuildPlan(campaign.Config{
+		Seed: 31, Plan: campaign.PlanPaper, Subjects: []driver.Profile{t5},
+		ApplyPaperExclusions: true, Workers: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	logsDir, csvDir := t.TempDir(), t.TempDir()
+	exportLogs(p, logsDir, csvDir)
+	res, err := p.Execute()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	drives := 0
+	for _, c := range p.Cells {
+		run := res.Subjects[c.Subject].Runs[c.Scenario]
+		r := run.Golden
+		if c.Kind == campaign.CellFaulty {
+			r = run.Faulty
+		}
+		name := fmt.Sprintf("T5_%s_%s", c.Spec.Scenario.Name, c.Kind)
+		log, err := trace.LoadJSONFile(filepath.Join(logsDir, name+".json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(log.Ego) == 0 {
+			t.Fatalf("%s: exported log has no ego records", name)
+		}
+		if got, want := trace.Fingerprint(log), r.Outcome.Fingerprint; got != want {
+			t.Fatalf("%s: exported log fingerprints to %s, the drive to %s", name, got, want)
+		}
+		for _, f := range []string{"ego.csv", "others.csv", "collisions.csv", "lane_invasions.csv", "faults.csv"} {
+			if _, err := os.Stat(filepath.Join(csvDir, name, f)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		drives++
+	}
+	for _, dir := range []string{logsDir, csvDir} {
+		if entries, _ := os.ReadDir(dir); len(entries) != drives {
+			t.Fatalf("%s holds %d entries, want one per drive (%d)", dir, len(entries), drives)
+		}
+	}
+	if drives != 6 {
+		t.Fatalf("%d drives exported, want 3 scenarios × golden/faulty", drives)
 	}
 }

@@ -154,10 +154,10 @@ func (r *Result) BuildTableIV() TableIV {
 		condRev := make(map[string]float64)
 		condMin := make(map[string]float64)
 		for _, run := range sub.Runs {
-			gd := run.Golden.Outcome.Log.Duration().Minutes()
+			gd := run.Golden.Analysis.Duration.Minutes()
 			goldenRevMin += run.Golden.Analysis.SRRWholeRun * gd
 			goldenMin += gd
-			fd := run.Faulty.Outcome.Log.Duration().Minutes()
+			fd := run.Faulty.Analysis.Duration.Minutes()
 			faultyRevMin += run.Faulty.Analysis.SRRWholeRun * fd
 			faultyMin += fd
 			for label, rate := range run.Faulty.Analysis.SRRByCondition {

@@ -259,17 +259,23 @@ func TestTablesFromMiniCampaign(t *testing.T) {
 	}
 }
 
+// TestCampaignDeterminism runs one campaign twice and compares every
+// drive's trace fingerprint, taken from its full log before the
+// campaign dropped the per-tick series.
 func TestCampaignDeterminism(t *testing.T) {
 	a := miniCampaign(t, "T5")
 	b := miniCampaign(t, "T5")
-	la := a.Subjects[0].Runs[0].Faulty.Outcome.Log
-	lb := b.Subjects[0].Runs[0].Faulty.Outcome.Log
-	if len(la.Ego) != len(lb.Ego) {
-		t.Fatalf("run lengths differ: %d vs %d", len(la.Ego), len(lb.Ego))
+	ra, rb := a.Subjects[0].allResults(), b.Subjects[0].allResults()
+	if len(ra) == 0 || len(ra) != len(rb) {
+		t.Fatalf("drive counts: %d vs %d", len(ra), len(rb))
 	}
-	for i := range la.Ego {
-		if la.Ego[i] != lb.Ego[i] {
-			t.Fatalf("campaigns diverge at record %d", i)
+	for i := range ra {
+		fa, fb := ra[i].Outcome.Fingerprint, rb[i].Outcome.Fingerprint
+		if fa == "" {
+			t.Fatalf("drive %d: empty Outcome.Fingerprint", i)
+		}
+		if fa != fb {
+			t.Fatalf("campaigns diverge at drive %d: %s vs %s", i, fa, fb)
 		}
 	}
 }

@@ -269,7 +269,10 @@ func (p *Plan) Execute() (*Result, error) {
 // adversarial search driver. It runs on pool.Run with workers clamped
 // to [1, len(specs)] (so 0 means one worker), each owning one run
 // arena; after the first failure no new cell starts. Results come back
-// indexed like specs.
+// indexed like specs, each detached from its worker's arena: its
+// Outcome.Log keeps the header and sparse events (trace.RunLog.Events)
+// but no Ego or Others series, so a campaign's memory grows with its
+// workers, not its cells. A spec's LogSink sees the full log.
 // On error the returned int is the lowest failing spec index —
 // deterministic even when several cells fail concurrently — and the
 // error is the bare cell error (callers add their own context). ins may
@@ -298,8 +301,14 @@ func ExecuteCells(specs []core.RunSpec, workers int, ins *Instruments, arts *sce
 		spec.Artifacts = arts
 		r, err := core.RunOne(spec)
 		ins.cellDone(r, wc[w], err)
+		if err != nil {
+			return err
+		}
+		// Detach before this worker's next cell reuses the scratch: keep
+		// the log's sparse events, drop its per-tick series.
+		r.Outcome.Log = r.Outcome.Log.Events()
 		results[ci] = r
-		return err
+		return nil
 	})
 	if err != nil {
 		return nil, failed, err

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"teledrive/internal/driver"
 	"teledrive/internal/faultinject"
 	"teledrive/internal/scenario"
+	"teledrive/internal/trace"
 )
 
 // shortScenarios is a reduced scenario sequence for runner tests: the
@@ -319,5 +321,54 @@ func TestResolveWorkers(t *testing.T) {
 	}
 	if got := resolveWorkers(6); got != 6 {
 		t.Fatalf("resolveWorkers(6) = %d", got)
+	}
+}
+
+// TestRunKeepsFingerprintNotSeries: a campaign's drive results keep
+// the log's sparse events (Faults) but none of its per-tick Ego or
+// Others records, and each keeps the fingerprint of its full log — the
+// one the same drive gives when run alone, without a scratch arena.
+func TestRunKeepsFingerprintNotSeries(t *testing.T) {
+	cfg := Config{
+		Seed:                 31,
+		Subjects:             subjects(t, "T5"),
+		Scenarios:            shortScenarios,
+		ApplyPaperExclusions: true,
+		Workers:              2,
+	}
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A second plan gives every reference drive fresh scenario instances.
+	ref, err := BuildPlan(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	faults := 0
+	for ci, cell := range ref.Cells {
+		run := res.Subjects[cell.Subject].Runs[cell.Scenario]
+		r := run.Golden
+		if cell.Kind == CellFaulty {
+			r = run.Faulty
+		}
+		log := r.Outcome.Log
+		if len(log.Ego) != 0 || len(log.Others) != 0 {
+			t.Fatalf("cell %d: result keeps %d ego and %d other records", ci, len(log.Ego), len(log.Others))
+		}
+		alone, err := core.RunOne(cell.Spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := r.Outcome.Fingerprint, trace.Fingerprint(alone.Outcome.Log); got != want {
+			t.Fatalf("cell %d: campaign fingerprint %q, drive alone %q", ci, got, want)
+		}
+		if !slices.Equal(log.Faults, alone.Outcome.Log.Faults) {
+			t.Fatalf("cell %d: kept faults %v, drive alone logged %v", ci, log.Faults, alone.Outcome.Log.Faults)
+		}
+		faults += len(log.Faults)
+	}
+	if faults == 0 {
+		t.Fatal("no cell kept a fault record; the faulty drives injected nothing")
 	}
 }

@@ -43,8 +43,8 @@ func (r *Result) BuildSignificance() Significance {
 	for _, sub := range r.Analysed() {
 		var g, f, gs, fs, gmin, fmin float64
 		for _, run := range sub.Runs {
-			gd := run.Golden.Outcome.Log.Duration().Minutes()
-			fd := run.Faulty.Outcome.Log.Duration().Minutes()
+			gd := run.Golden.Analysis.Duration.Minutes()
+			fd := run.Faulty.Analysis.Duration.Minutes()
 			g += run.Golden.Analysis.SRRWholeRun * gd
 			f += run.Faulty.Analysis.SRRWholeRun * fd
 			gmin += gd

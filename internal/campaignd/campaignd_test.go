@@ -59,8 +59,8 @@ func TestDistributedEquivalence(t *testing.T) {
 	assertReportMatchesReference(t, cr.res)
 
 	// Bit-identical trace fingerprints, pinned by the golden.
-	refFP := fingerprints(ref)
-	distFP := fingerprints(cr.res)
+	refFP := fingerprints(t, ref)
+	distFP := fingerprints(t, cr.res)
 	if !reflect.DeepEqual(refFP, distFP) {
 		t.Errorf("trace fingerprints diverge:\nin-process: %v\ndistributed: %v", refFP, distFP)
 	}

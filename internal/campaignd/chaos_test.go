@@ -113,7 +113,7 @@ func TestChaosWorkerKilledTwice(t *testing.T) {
 		t.Fatalf("survivor: %v", err)
 	}
 	assertEqualToReference(t, cr.res)
-	checkEquivalenceGolden(t, equivalenceGolden{Digest: PlanDigest(plan), Fingerprints: fingerprints(cr.res)})
+	checkEquivalenceGolden(t, equivalenceGolden{Digest: PlanDigest(plan), Fingerprints: fingerprints(t, cr.res)})
 
 	prom := promDump(t, reg)
 	if want := fmt.Sprintf(`campaignd_cells_total{event="requeued"} %d`, 2*cells); !strings.Contains(prom, want) {
@@ -166,7 +166,7 @@ func TestChaosCoordinatorKilledAndResumed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkEquivalenceGolden(t, equivalenceGolden{Digest: PlanDigest(plan), Fingerprints: fingerprints(cr.res)})
+	checkEquivalenceGolden(t, equivalenceGolden{Digest: PlanDigest(plan), Fingerprints: fingerprints(t, cr.res)})
 	assertEqualToReference(t, cr.res)
 
 	// The resume must have replayed exactly the journaled prefix.
@@ -326,9 +326,14 @@ func TestChaosCellFailsOnWorker(t *testing.T) {
 	w := runWorker(context.Background(), &Worker{ID: "w", Capacity: 1}, addr)
 
 	cr := waitCoord(t, done, 2*time.Minute)
-	<-w // disconnected by the failing coordinator
 	if cr.err == nil || cr.err.Error() != want.Error() {
 		t.Fatalf("distributed error:\n  %v\nwant the in-process error:\n  %v", cr.err, want)
+	}
+	// The coordinator tells the worker why before it disconnects: the
+	// worker's error names the failed cell, not a bare EOF.
+	werr := <-w
+	if !errors.Is(werr, ErrAborted) || !strings.Contains(werr.Error(), want.Error()) {
+		t.Fatalf("worker error:\n  %v\nwant ErrAborted naming the campaign error:\n  %v", werr, want)
 	}
 	prom := promDump(t, reg)
 	for _, want := range []string{

@@ -8,6 +8,7 @@ import (
 
 	"teledrive/internal/campaign"
 	"teledrive/internal/core"
+	"teledrive/internal/rds"
 	"teledrive/internal/telemetry"
 	"teledrive/internal/transport"
 )
@@ -105,15 +106,18 @@ type coordEvent struct {
 // cell (returns the canonical cell error campaign.Run would return), a
 // cell loses more than MaxRetries workers (returns the abort error), or
 // stop is signalled (returns ErrHalted; resume by running again with
-// the same JournalPath). Run closes ln before returning.
-func (c *Coordinator) Run(stop <-chan struct{}, ln net.Listener) (*campaign.Result, error) {
+// the same JournalPath). On every error it first tells each connected
+// worker why (an abort message carrying the error text), then closes
+// the connections. Run closes ln before returning.
+func (c *Coordinator) Run(stop <-chan struct{}, ln net.Listener) (_ *campaign.Result, err error) {
 	started := nowWall()
 	plan, err := c.Spec.BuildPlan()
 	if err != nil {
 		return nil, err
 	}
 	digest := PlanDigest(plan)
-	j, err := openJournal(c.JournalPath, digest, len(plan.Cells))
+	keep := keepResult(plan)
+	j, err := openJournal(c.JournalPath, digest, len(plan.Cells), keep)
 	if err != nil {
 		return nil, err
 	}
@@ -122,14 +126,14 @@ func (c *Coordinator) Run(stop <-chan struct{}, ln net.Listener) (*campaign.Resu
 	ins := newCoordInstruments(c.Registry)
 	ins.CellsPlanned.Add(uint64(len(plan.Cells)))
 	tr := newTracker(len(plan.Cells), c.maxRetries())
-	for cell := range j.outcomes {
+	for cell := range j.results {
 		tr.restore(cell)
 		ins.CellsRestored.Inc()
 	}
-	c.logf("campaignd: plan %d cells (%d restored from journal), digest %.12s…", len(plan.Cells), len(j.outcomes), digest)
+	c.logf("campaignd: plan %d cells (%d restored from journal), digest %.12s…", len(plan.Cells), len(j.results), digest)
 	if tr.done() {
 		ln.Close()
-		return c.assembleResult(plan, j, started)
+		return assembleResult(plan, j, started)
 	}
 
 	events := make(chan coordEvent, 64)
@@ -156,6 +160,9 @@ func (c *Coordinator) Run(stop <-chan struct{}, ln net.Listener) (*campaign.Resu
 	workers := make(map[string]*workerConn) // by key
 	defer func() {
 		for _, wc := range workers {
+			if err != nil {
+				wc.abort(err)
+			}
 			wc.conn.Close()
 		}
 	}()
@@ -283,7 +290,7 @@ func (c *Coordinator) Run(stop <-chan struct{}, ln net.Listener) (*campaign.Resu
 				if err := j.append(journalEntry{
 					Cell: cell, Worker: ev.wc.name,
 					ElapsedNS: ev.m.ElapsedNS, Outcome: ev.m.Outcome,
-				}, out); err != nil {
+				}, keep(cell, out, time.Duration(ev.m.ElapsedNS))); err != nil {
 					return nil, err
 				}
 				journaledThisRun++
@@ -299,7 +306,7 @@ func (c *Coordinator) Run(stop <-chan struct{}, ln net.Listener) (*campaign.Resu
 						_ = wc.out.send(&msg{T: msgDone})
 						wc.conn.Close()
 					}
-					return c.assembleResult(plan, j, started)
+					return assembleResult(plan, j, started)
 				}
 				if err := fill(ev.wc); err != nil {
 					return nil, err
@@ -396,22 +403,48 @@ func (c *Coordinator) handshake(conn net.Conn, seq int, planMsg *msg, ins *coord
 	}
 }
 
-// assembleResult folds the journaled outcomes through the in-process
-// aggregation: analyses are recomputed locally from the (bit-exact)
-// run logs, so the distributed Result is indistinguishable from
-// `campaign -workers N` output.
-func (c *Coordinator) assembleResult(plan *campaign.Plan, j *cellJournal, started time.Time) (*campaign.Result, error) {
+// abort tells a worker why the campaign ended before its connection
+// closes, so it exits naming the reason instead of a bare EOF. Best
+// effort under a short write deadline: a stalled worker cannot hold up
+// the coordinator's return.
+func (wc *workerConn) abort(reason error) {
+	_ = wc.conn.SetWriteDeadline(nowWall().Add(abortWriteTimeout))
+	//lint:allow errswallow best-effort farewell: the connection closes next either way
+	_ = wc.out.send(&msg{T: msgAbort, Error: reason.Error()})
+}
+
+// abortWriteTimeout bounds the abort message's write.
+const abortWriteTimeout = time.Second
+
+// keepResult analyses a cell's decoded outcome as it arrives (or is
+// replayed from the journal) and keeps what campaign.ExecuteCells keeps
+// of an in-process cell: the outcome scalars and fingerprint, the
+// analysis, and the log's sparse events — not its per-tick series.
+// Analyses are recomputed locally from the (bit-exact) run logs, so the
+// distributed Result is indistinguishable from `campaign -workers N`
+// output.
+func keepResult(plan *campaign.Plan) keepFunc {
+	return func(cell int, out *rds.Outcome, elapsed time.Duration) *core.Result {
+		r := &core.Result{
+			Outcome:  out,
+			Analysis: core.AnalyzeRun(out.Log, plan.Cells[cell].Spec.Scenario),
+			Elapsed:  elapsed,
+		}
+		out.Log = out.Log.Events()
+		return r
+	}
+}
+
+// assembleResult folds the journaled results through the in-process
+// aggregation.
+func assembleResult(plan *campaign.Plan, j *cellJournal, started time.Time) (*campaign.Result, error) {
 	results := make([]*core.Result, len(plan.Cells))
 	for ci := range plan.Cells {
-		out, ok := j.outcomes[ci]
+		r, ok := j.results[ci]
 		if !ok {
 			return nil, fmt.Errorf("campaignd: internal: cell %d has no journaled outcome", ci)
 		}
-		results[ci] = &core.Result{
-			Outcome:  out,
-			Analysis: core.AnalyzeRun(out.Log, plan.Cells[ci].Spec.Scenario),
-			Elapsed:  time.Duration(j.elapsed[ci]),
-		}
+		results[ci] = r
 	}
 	return plan.Assemble(results, started)
 }

@@ -24,7 +24,7 @@ import (
 // connection.
 func FuzzWireProtocol(f *testing.F) {
 	// Seed with valid traffic so the fuzzer starts near the interesting
-	// surface: every message type, a compressed body, chunked bodies.
+	// surface: every message type, compressed bodies, chunked bodies.
 	encode := func(m *msg) []byte {
 		var buf bytes.Buffer
 		if err := newSender(&buf).send(m); err != nil {
@@ -54,6 +54,9 @@ func FuzzWireProtocol(f *testing.F) {
 		// A dangling continuation, and a body that is not JSON.
 		record(flagMore, []byte("{")),
 		record(0, []byte("GET / HTTP/1.1\r\n\r\n")),
+		// The coordinator's abort, with a short and a compressed reason.
+		encode(&msg{T: msgAbort, Error: "campaign: subject T5 faulty follow-vehicle: boom"}),
+		encode(&msg{T: msgAbort, Error: strings.Repeat("campaignd: cell 3 lost its worker ", 200)}),
 	}
 	for _, s := range seeds {
 		f.Add(s)

@@ -10,9 +10,9 @@ import (
 	"time"
 
 	"teledrive/internal/campaign"
+	"teledrive/internal/core"
 	"teledrive/internal/report"
 	"teledrive/internal/scenario"
-	"teledrive/internal/trace"
 )
 
 // shortScenarios mirrors the campaign runner tests: two short courses
@@ -111,16 +111,24 @@ func stripVolatile(res *campaign.Result) {
 }
 
 // fingerprints reduces a campaign result to one trace fingerprint per
-// drive, keyed subject/scenario-index/kind. Call before stripVolatile.
-func fingerprints(res *campaign.Result) map[string]string {
+// drive, keyed subject/scenario-index/kind: each cell's
+// Outcome.Fingerprint, taken from the full log before the campaign
+// dropped its per-tick series. An empty fingerprint fails the test.
+// Call before stripVolatile.
+func fingerprints(t *testing.T, res *campaign.Result) map[string]string {
+	t.Helper()
 	out := make(map[string]string)
 	for _, sub := range res.Subjects {
 		for si, run := range sub.Runs {
-			if run.Golden != nil {
-				out[fmt.Sprintf("%s/%d/golden", sub.Profile.Name, si)] = trace.Fingerprint(run.Golden.Outcome.Log)
-			}
-			if run.Faulty != nil {
-				out[fmt.Sprintf("%s/%d/faulty", sub.Profile.Name, si)] = trace.Fingerprint(run.Faulty.Outcome.Log)
+			for kind, r := range map[string]*core.Result{"golden": run.Golden, "faulty": run.Faulty} {
+				if r == nil {
+					continue
+				}
+				key := fmt.Sprintf("%s/%d/%s", sub.Profile.Name, si, kind)
+				if r.Outcome.Fingerprint == "" {
+					t.Fatalf("%s: empty Outcome.Fingerprint", key)
+				}
+				out[key] = r.Outcome.Fingerprint
 			}
 		}
 	}

@@ -7,7 +7,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
+	"teledrive/internal/core"
 	"teledrive/internal/rds"
 )
 
@@ -20,14 +22,14 @@ func fakeOutcome(station float64) json.RawMessage {
 
 func TestJournalRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "j.jsonl")
-	j, err := openJournal(path, "digest-1", 4)
+	j, err := openJournal(path, "digest-1", 4, keepOutcome)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.append(journalEntry{Cell: 2, Worker: "w1", ElapsedNS: 7, Outcome: fakeOutcome(10)}, mustDecode(t, fakeOutcome(10))); err != nil {
+	if err := j.append(journalEntry{Cell: 2, Worker: "w1", ElapsedNS: 7, Outcome: fakeOutcome(10)}, mustKeep(t, fakeOutcome(10))); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.append(journalEntry{Cell: 0, Worker: "w2", ElapsedNS: 9, Outcome: fakeOutcome(20)}, mustDecode(t, fakeOutcome(20))); err != nil {
+	if err := j.append(journalEntry{Cell: 0, Worker: "w2", ElapsedNS: 9, Outcome: fakeOutcome(20)}, mustKeep(t, fakeOutcome(20))); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.close(); err != nil {
@@ -43,51 +45,58 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 
 	// Reopen: both cells replay; later appends land after them.
-	j2, err := openJournal(path, "digest-1", 4)
+	j2, err := openJournal(path, "digest-1", 4, keepOutcome)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer j2.close()
-	if len(j2.outcomes) != 2 {
-		t.Fatalf("replayed %d cells, want 2", len(j2.outcomes))
+	if len(j2.results) != 2 {
+		t.Fatalf("replayed %d cells, want 2", len(j2.results))
 	}
-	if j2.outcomes[2].FinalStation != 10 || j2.outcomes[0].FinalStation != 20 {
+	if j2.results[2].Outcome.FinalStation != 10 || j2.results[0].Outcome.FinalStation != 20 {
 		t.Fatal("replayed outcomes mangled")
 	}
-	if j2.elapsed[2] != 7 || j2.elapsed[0] != 9 {
+	if j2.results[2].Elapsed != 7 || j2.results[0].Elapsed != 9 {
 		t.Fatal("replayed elapsed mangled")
 	}
 }
 
-func mustDecode(t *testing.T, raw json.RawMessage) *rds.Outcome {
+// keepOutcome keeps a decoded outcome as is; the journal tests need no
+// plan to analyse against.
+func keepOutcome(_ int, out *rds.Outcome, elapsed time.Duration) *core.Result {
+	return &core.Result{Outcome: out, Elapsed: elapsed}
+}
+
+// mustKeep decodes raw as the coordinator does on a result message.
+func mustKeep(t *testing.T, raw json.RawMessage) *core.Result {
 	t.Helper()
 	out, err := decodeOutcome(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return out
+	return keepOutcome(0, out, 0)
 }
 
 func TestJournalFirstWriteWinsAcrossRestarts(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "j.jsonl")
-	j, err := openJournal(path, "d", 2)
+	j, err := openJournal(path, "d", 2, keepOutcome)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Two entries for the same cell (a crash window can journal a
 	// duplicate): the first must win on replay.
 	for _, station := range []float64{1, 2} {
-		if err := j.append(journalEntry{Cell: 1, Outcome: fakeOutcome(station)}, mustDecode(t, fakeOutcome(station))); err != nil {
+		if err := j.append(journalEntry{Cell: 1, Outcome: fakeOutcome(station)}, mustKeep(t, fakeOutcome(station))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	j.close()
-	j2, err := openJournal(path, "d", 2)
+	j2, err := openJournal(path, "d", 2, keepOutcome)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer j2.close()
-	if got := j2.outcomes[1].FinalStation; got != 1 {
+	if got := j2.results[1].Outcome.FinalStation; got != 1 {
 		t.Fatalf("replay kept station %g, want the first write (1)", got)
 	}
 }
@@ -96,34 +105,34 @@ func TestJournalFirstWriteWinsAcrossRestarts(t *testing.T) {
 // cell outside the plan is damage, not something to skip.
 func TestJournalEarlierCorruptionFailsLoudly(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "j.jsonl")
-	j, err := openJournal(path, "d", 2)
+	j, err := openJournal(path, "d", 2, keepOutcome)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.append(journalEntry{Cell: 2, Outcome: fakeOutcome(1)}, mustDecode(t, fakeOutcome(1))); err != nil {
+	if err := j.append(journalEntry{Cell: 2, Outcome: fakeOutcome(1)}, mustKeep(t, fakeOutcome(1))); err != nil {
 		t.Fatal(err)
 	}
 	j.close()
-	if _, err := openJournal(path, "d", 2); err == nil || !strings.Contains(err.Error(), "corrupt: cell 2 out of range") {
+	if _, err := openJournal(path, "d", 2, keepOutcome); err == nil || !strings.Contains(err.Error(), "corrupt: cell 2 out of range") {
 		t.Fatalf("out-of-range cell must fail loudly, got %v", err)
 	}
 }
 
 func TestJournalRefusesDifferentPlan(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "j.jsonl")
-	j, err := openJournal(path, "digest-A", 4)
+	j, err := openJournal(path, "digest-A", 4, keepOutcome)
 	if err != nil {
 		t.Fatal(err)
 	}
 	j.close()
 
-	if _, err := openJournal(path, "digest-B", 4); err == nil || !strings.Contains(err.Error(), "refusing to resume") {
+	if _, err := openJournal(path, "digest-B", 4, keepOutcome); err == nil || !strings.Contains(err.Error(), "refusing to resume") {
 		t.Fatalf("digest mismatch must refuse to resume, got %v", err)
 	}
-	if _, err := openJournal(path, "digest-A", 5); err == nil || !strings.Contains(err.Error(), "refusing to resume") {
+	if _, err := openJournal(path, "digest-A", 5, keepOutcome); err == nil || !strings.Contains(err.Error(), "refusing to resume") {
 		t.Fatalf("cell-count mismatch must refuse to resume, got %v", err)
 	}
-	if _, err := openJournal(path, "digest-A", 4); err != nil {
+	if _, err := openJournal(path, "digest-A", 4, keepOutcome); err != nil {
 		t.Fatalf("matching plan must resume: %v", err)
 	}
 }
@@ -133,7 +142,7 @@ func TestJournalRejectsForeignFile(t *testing.T) {
 	if err := os.WriteFile(path, []byte("{\"not\":\"a journal\"}\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := openJournal(path, "d", 1); err == nil || !strings.Contains(err.Error(), "not a campaignd journal") {
+	if _, err := openJournal(path, "d", 1, keepOutcome); err == nil || !strings.Contains(err.Error(), "not a campaignd journal") {
 		t.Fatalf("foreign file must be rejected, got %v", err)
 	}
 }

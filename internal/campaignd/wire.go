@@ -37,6 +37,7 @@ const (
 	msgHeartbeat = "hb"     // worker → coordinator: liveness (keeps a busy worker inside its timeout)
 	msgDone      = "done"   // coordinator → worker: campaign complete, disconnect
 	msgError     = "err"    // worker → coordinator: cell N failed to run
+	msgAbort     = "abort"  // coordinator → worker: campaign ended early, Error says why; disconnect
 )
 
 // msg is the single wire envelope; T discriminates which fields are
@@ -57,7 +58,7 @@ type msg struct {
 	// heartbeats at a fixed fraction of it.
 	TimeoutNS int64 `json:"timeout_ns,omitempty"`
 
-	// msgLease / msgResult / msgError
+	// msgLease / msgResult / msgError / msgAbort
 	Cell      int             `json:"cell"`
 	ElapsedNS int64           `json:"elapsed_ns,omitempty"`
 	Outcome   json.RawMessage `json:"outcome,omitempty"`

@@ -3,6 +3,7 @@ package campaignd
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"runtime"
@@ -62,10 +63,16 @@ func (w *Worker) logf(format string, args ...any) {
 	}
 }
 
+// ErrAborted is returned by Worker.Run when the coordinator ended the
+// campaign early; the error text after it is the coordinator's reason
+// (a failed cell's campaign error, a halt, a cell out of retries).
+var ErrAborted = errors.New("campaignd: coordinator aborted the campaign")
+
 // Run dials the coordinator at addr, performs the hello/plan handshake,
-// and runs leased cells until the coordinator sends done (returns nil),
-// the connection dies (returns the read error), or ctx is cancelled
-// (returns ctx.Err()). Any abrupt exit is safe: the coordinator
+// and runs leased cells until the coordinator sends done (returns nil)
+// or abort (returns ErrAborted wrapping its reason), the connection
+// dies (returns the read error), or ctx is cancelled (returns
+// ctx.Err()). Any abrupt exit is safe: the coordinator
 // re-queues the unfinished cells of a lost connection to other workers.
 func (w *Worker) Run(ctx context.Context, addr string) error {
 	conn, err := net.Dial("tcp", addr)
@@ -166,6 +173,9 @@ func (w *Worker) Run(ctx context.Context, addr string) error {
 			w.logf("campaignd: worker %s: campaign complete", w.ID)
 			cleanup()
 			return nil
+		case msgAbort:
+			cleanup()
+			return fmt.Errorf("%w: %s", ErrAborted, m.Error)
 		default:
 			cleanup()
 			return transport.ProtocolErrorf("unexpected %q from coordinator", m.T)
@@ -178,8 +188,8 @@ func (w *Worker) Run(ctx context.Context, addr string) error {
 // loop observes the connection death and unwinds the whole worker.
 func (w *Worker) runCells(ctx context.Context, cells []campaign.RunCell, jobs <-chan int, send func(*msg) error, ins *workerInstruments) {
 	// One run arena and one artifact cache per pool runner: leased cells
-	// execute strictly sequentially here, and the scratch's RunLog is
-	// detached by RunOne before the next lease reuses it.
+	// execute strictly sequentially here, and each outcome, log
+	// included, is encoded before the next lease reuses the scratch.
 	scratch := session.NewRunScratch()
 	arts := scenario.NewArtifactCache()
 	for cell := range jobs {

@@ -20,6 +20,9 @@ type Analysis struct {
 	Subject  string
 	Scenario string
 	RunType  string
+	// Duration is the simulated time of the run's last ego record
+	// (trace.RunLog.Duration), the weight of its whole-run rates.
+	Duration time.Duration
 
 	// TTCByCondition holds gated TTC statistics per fault condition
 	// label ("NFI", "5ms", ...). Conditions never active in the run are
@@ -75,6 +78,7 @@ func AnalyzeRun(log *trace.RunLog, scn *scenario.Scenario) *Analysis {
 		Subject:               log.Subject,
 		Scenario:              log.Scenario,
 		RunType:               log.RunType,
+		Duration:              log.Duration(),
 		TTCByCondition:        make(map[string]metrics.TTCResult),
 		SRRByCondition:        make(map[string]float64),
 		SRRExposure:           make(map[string]time.Duration),

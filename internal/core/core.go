@@ -22,6 +22,7 @@ import (
 	"teledrive/internal/scenario"
 	"teledrive/internal/session"
 	"teledrive/internal/telemetry"
+	"teledrive/internal/trace"
 	"teledrive/internal/transport"
 )
 
@@ -55,16 +56,23 @@ type RunSpec struct {
 	// Ignored unless Metrics is set.
 	Events *telemetry.EventSink
 	// Scratch is the executing worker's reusable run arena (see
-	// rds.BenchConfig.Scratch). RunOne detaches the outcome's RunLog
-	// from it with a tight copy, so the returned Result stays valid
-	// after the scratch is reused for the next cell.
+	// rds.BenchConfig.Scratch). The returned Outcome.Log lives in it and
+	// is valid only until the next run on the same scratch; the rest of
+	// the Result — outcome scalars, Fingerprint, Analysis — outlives it.
 	Scratch *session.RunScratch
+	// LogSink, when non-nil, receives the full run log while it is
+	// still valid, before RunOne returns (`campaign -logs`/`-csv` export
+	// through it). An error from it fails the drive.
+	LogSink func(*trace.RunLog) error
 	// Artifacts shares immutable scenario artifacts (maps, routes)
 	// across runs; safe for concurrent use.
 	Artifacts *scenario.ArtifactCache
 }
 
-// Result couples the raw outcome with its analysis.
+// Result couples the raw outcome with its analysis. What outlives the
+// drive's run arena is the outcome scalars, Outcome.Fingerprint and the
+// Analysis; a campaign keeps only those plus the log's sparse events
+// (trace.RunLog.Events), never the per-tick series.
 type Result struct {
 	Outcome  *rds.Outcome
 	Analysis *Analysis
@@ -75,7 +83,8 @@ type Result struct {
 	Elapsed time.Duration
 }
 
-// RunOne executes a single drive and analyses it.
+// RunOne executes a single drive and analyses it. It does not copy the
+// run log (see RunSpec.Scratch for how long it stays valid).
 func RunOne(spec RunSpec) (*Result, error) {
 	started := time.Now() //lint:allow wallclock per-drive wall-clock cost (Result.Elapsed) makes the worker-pool speedup observable; not simulated time
 	out, err := rds.Run(rds.BenchConfig{
@@ -96,11 +105,10 @@ func RunOne(spec RunSpec) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if spec.Scratch != nil {
-		// The log lives in the scratch and is clobbered by the next run;
-		// results outlive cells (campaign aggregation reads them after
-		// the whole plan finishes), so detach it.
-		out.Log = out.Log.Clone()
+	if spec.LogSink != nil {
+		if err := spec.LogSink(out.Log); err != nil {
+			return nil, err
+		}
 	}
 	return &Result{
 		Outcome:  out,

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"time"
@@ -8,6 +9,7 @@ import (
 	"teledrive/internal/driver"
 	"teledrive/internal/faultinject"
 	"teledrive/internal/scenario"
+	"teledrive/internal/session"
 	"teledrive/internal/trace"
 )
 
@@ -60,6 +62,31 @@ func TestRunOneGolden(t *testing.T) {
 	}
 	if len(a.SteerFiltered) != len(res.Outcome.Log.Ego) {
 		t.Fatal("steering profile length mismatch")
+	}
+	if a.Duration != res.Outcome.Log.Duration() || a.Duration <= 0 {
+		t.Fatalf("analysis duration %v, log duration %v", a.Duration, res.Outcome.Log.Duration())
+	}
+}
+
+// TestRunOneLogSink: the sink sees the full log while it is valid, and
+// its error fails the drive.
+func TestRunOneLogSink(t *testing.T) {
+	scn := scenario.LaneChangeSlalom()
+	var seen string
+	spec := RunSpec{Scenario: scn, Profile: subject(t, "T5"), Seed: 2, Scratch: session.NewRunScratch(),
+		LogSink: func(l *trace.RunLog) error { seen = trace.Fingerprint(l); return nil }}
+	res, err := RunOne(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seen == "" || seen != res.Outcome.Fingerprint {
+		t.Fatalf("sink saw a log fingerprinting to %q, the drive's is %q", seen, res.Outcome.Fingerprint)
+	}
+	boom := errors.New("disk full")
+	spec.Scenario = scenario.LaneChangeSlalom()
+	spec.LogSink = func(*trace.RunLog) error { return boom }
+	if _, err := RunOne(spec); !errors.Is(err, boom) {
+		t.Fatalf("RunOne with a failing sink returned %v, want %v", err, boom)
 	}
 }
 

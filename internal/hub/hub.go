@@ -140,16 +140,14 @@ type SessionResult struct {
 	ID   uint64
 	Name string
 	// Outcome is the run outcome. Its Log aliases a recycled arena and
-	// is only valid until the hub reuses the scratch — consume Digest
-	// (taken before release) for anything that must outlive the result
-	// handling.
+	// is only valid until the hub reuses the scratch; the rest of it,
+	// Fingerprint included, outlives the arena.
 	Outcome *rds.Outcome
 	// Artifact is the shared immutable scenario artifact this session
 	// built its world from — the same pointer for every session that
 	// agreed on the scenario.
 	Artifact *scenario.Artifact
-	// Digest is the run's equivalence digest (rds.OutcomeDigest), taken
-	// while the log was still valid.
+	// Digest is the run's equivalence digest (rds.OutcomeDigest).
 	Digest string
 	Err    error
 }
@@ -197,7 +195,6 @@ func (h *Hub) Run(spec SessionSpec) SessionResult {
 		return res
 	}
 	res.Outcome = out
-	// Digest before the deferred putScratch: the log dies with the arena.
 	res.Digest = rds.OutcomeDigest(out)
 	return res
 }

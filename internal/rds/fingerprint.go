@@ -12,7 +12,6 @@ import (
 	"teledrive/internal/scenario"
 	"teledrive/internal/session"
 	"teledrive/internal/telemetry"
-	"teledrive/internal/trace"
 	"teledrive/internal/transport"
 )
 
@@ -122,14 +121,14 @@ func RunFingerprintPooled(c FingerprintCell, scratch *session.RunScratch, arts *
 
 // OutcomeDigest renders the equivalence digest of a finished run: the
 // trace fingerprint plus the outcome scalars a refactor must preserve.
-// It reads Outcome.Log, so with a pooled scratch it must be taken before
-// the scratch is reused. The format is pinned by the goldens under
+// It reads Outcome.Fingerprint, never the log, so it holds after the
+// run's scratch is reused. The format is pinned by the goldens under
 // internal/session/testdata — extending it invalidates every recorded
 // fingerprint.
 func OutcomeDigest(out *Outcome) string {
 	return fmt.Sprintf(
 		"%s|completed=%v|timedout=%v|injected=%d|egocol=%d|station=%x|ticks=%d|frames=%d/%d|controls=%d|sent=%d/%d",
-		trace.Fingerprint(out.Log), out.Completed, !out.Completed, out.Injected,
+		out.Fingerprint, out.Completed, !out.Completed, out.Injected,
 		out.EgoCollisions, out.FinalStation, out.WallTicks,
 		out.ServerStats.FramesSent, out.ServerStats.FramesDropped,
 		out.ServerStats.ControlsApplied,

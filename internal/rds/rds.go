@@ -191,7 +191,14 @@ func (c *BenchConfig) IsGolden() bool {
 
 // Outcome is the result of one bench run.
 type Outcome struct {
+	// Log is the drive's run log. With a BenchConfig.Scratch it lives in
+	// the scratch and is valid only until the next Run on it; everything
+	// else in the Outcome, Fingerprint included, outlives it.
 	Log *trace.RunLog
+	// Fingerprint is trace.Fingerprint of Log, taken when the drive
+	// ended. It stays off the wire (json:"-"): a decoder recomputes it
+	// from the decoded log, which proves the round-trip exact.
+	Fingerprint string `json:"-"`
 	// Completed is true when the ego reached the scenario end station;
 	// false means the scenario timeout expired first.
 	Completed bool
@@ -379,6 +386,7 @@ func Run(cfg BenchConfig) (*Outcome, error) {
 
 	out := &Outcome{
 		Log:              log,
+		Fingerprint:      trace.Fingerprint(log),
 		Completed:        res.Completed,
 		Injected:         sup.Injected(),
 		FailedInjections: sup.FailedInjections(),

@@ -25,19 +25,25 @@ func Fingerprint(l *RunLog) string {
 	e.str(l.RunType)
 	e.u64(uint64(l.Seed))
 
+	// The per-tick series are the bulk of a log: one words call per
+	// record.
+	f := math.Float64bits
 	e.u64(uint64(len(l.Ego)))
-	for _, r := range l.Ego {
-		e.u64(uint64(r.Time))
-		e.u64(r.Frame)
-		e.f64(r.X, r.Y, r.Z, r.Vx, r.Vy, r.Vz, r.Ax, r.Ay, r.Az)
-		e.f64(r.Station, r.Lateral, r.Speed, r.Throttle, r.Steer, r.Brake)
+	for i := range l.Ego {
+		r := &l.Ego[i]
+		e.words([]uint64{
+			uint64(r.Time), r.Frame,
+			f(r.X), f(r.Y), f(r.Z), f(r.Vx), f(r.Vy), f(r.Vz), f(r.Ax), f(r.Ay), f(r.Az),
+			f(r.Station), f(r.Lateral), f(r.Speed), f(r.Throttle), f(r.Steer), f(r.Brake),
+		})
 	}
 	e.u64(uint64(len(l.Others)))
-	for _, o := range l.Others {
-		e.u64(uint64(o.Actor))
-		e.u64(uint64(o.Time))
-		e.u64(o.Frame)
-		e.f64(o.Distance, o.X, o.Y, o.Z, o.Vx, o.Vy, o.Vz, o.Station, o.Lateral, o.Speed)
+	for i := range l.Others {
+		o := &l.Others[i]
+		e.words([]uint64{
+			uint64(o.Actor), uint64(o.Time), o.Frame,
+			f(o.Distance), f(o.X), f(o.Y), f(o.Z), f(o.Vx), f(o.Vy), f(o.Vz), f(o.Station), f(o.Lateral), f(o.Speed),
+		})
 	}
 	e.u64(uint64(len(l.Collisions)))
 	for _, c := range l.Collisions {
@@ -93,6 +99,20 @@ var encoders = sync.Pool{New: func() any { return &fpEncoder{h: sha256.New()} }}
 func (e *fpEncoder) flush() {
 	e.h.Write(e.buf[:e.n])
 	e.n = 0
+}
+
+// words encodes one record's values into a single reserved stretch of
+// the buffer. A record is far smaller than the buffer, so one check
+// covers all of its values.
+func (e *fpEncoder) words(vs []uint64) {
+	if e.n+8*len(vs) > len(e.buf) {
+		e.flush()
+	}
+	b := e.buf[e.n : e.n+8*len(vs)]
+	for i, v := range vs {
+		binary.LittleEndian.PutUint64(b[8*i:], v)
+	}
+	e.n += len(b)
 }
 
 func (e *fpEncoder) u64(v uint64) {

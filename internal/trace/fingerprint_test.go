@@ -115,6 +115,9 @@ func randFloat(rng *rand.Rand) float64 {
 		return math.NaN()
 	case 2:
 		return math.Inf(rng.Intn(2)*2 - 1)
+	case 3:
+		// A NaN with a random sign and payload, quiet or signalling.
+		return math.Float64frombits(rng.Uint64()&(1<<63|1<<52-1) | 0x7ff<<52 | 1)
 	default:
 		return rng.NormFloat64() * 100
 	}
@@ -166,6 +169,31 @@ func TestFingerprintMatchesReferenceEncoder(t *testing.T) {
 	for i, l := range logs {
 		if got, want := Fingerprint(l), refFingerprint(l); got != want {
 			t.Fatalf("log %d: Fingerprint = %s, reference encoder = %s", i, got, want)
+		}
+	}
+}
+
+// TestFingerprintRecordsStraddleBuffer sweeps the per-tick record
+// counts, and the header length that shifts where the records start,
+// across the encoder's 4 KiB buffer boundaries: an Ego record (136 B)
+// or Other record (104 B) that does not fit must flush first and
+// encode exactly as the per-value reference encoder does.
+func TestFingerprintRecordsStraddleBuffer(t *testing.T) {
+	rng := rand.New(rand.NewSource(32))
+	f := func() float64 { return randFloat(rng) }
+	for _, pad := range []int{0, 1, 8, 67, 135} {
+		for n := 0; n <= 90; n++ {
+			l := &RunLog{Subject: strings.Repeat("p", pad), Seed: int64(n)}
+			for range n {
+				l.Ego = append(l.Ego, EgoRecord{Time: time.Duration(rng.Int63()), Frame: rng.Uint64(),
+					X: f(), Y: f(), Z: f(), Vx: f(), Vy: f(), Vz: f(), Ax: f(), Ay: f(), Az: f(),
+					Station: f(), Lateral: f(), Speed: f(), Throttle: f(), Steer: f(), Brake: f()})
+				l.Others = append(l.Others, OtherRecord{Actor: world.ActorID(rng.Intn(9)), Time: time.Duration(rng.Int63()), Frame: rng.Uint64(),
+					Distance: f(), X: f(), Y: f(), Z: f(), Vx: f(), Vy: f(), Vz: f(), Station: f(), Lateral: f(), Speed: f()})
+			}
+			if got, want := Fingerprint(l), refFingerprint(l); got != want {
+				t.Fatalf("pad %d, %d records: Fingerprint = %s, reference encoder = %s", pad, n, got, want)
+			}
 		}
 	}
 }

@@ -123,20 +123,22 @@ func (l *RunLog) Reset() {
 	l.ConditionSpans = l.ConditionSpans[:0]
 }
 
-// Clone returns a deep copy of the log with exactly-sized slices. It
-// detaches a result from an arena-owned log (session.RunScratch reuses
-// one RunLog across a worker's cells; anything retained past the next
-// run must be cloned). Records hold no references, so copying the
-// slices is a full deep copy.
-func (l *RunLog) Clone() *RunLog {
-	c := *l
-	c.Ego = append(make([]EgoRecord, 0, len(l.Ego)), l.Ego...)
-	c.Others = append(make([]OtherRecord, 0, len(l.Others)), l.Others...)
-	c.Collisions = append(make([]CollisionRecord, 0, len(l.Collisions)), l.Collisions...)
-	c.LaneInvasions = append(make([]LaneRecord, 0, len(l.LaneInvasions)), l.LaneInvasions...)
-	c.Faults = append(make([]FaultRecord, 0, len(l.Faults)), l.Faults...)
-	c.ConditionSpans = append(make([]ConditionSpan, 0, len(l.ConditionSpans)), l.ConditionSpans...)
-	return &c
+// Events returns a copy of the log's header and sparse event records —
+// collisions, lane invasions, faults, condition spans — without the
+// per-tick Ego and Others series. It detaches what a campaign keeps of
+// a drive from an arena-owned log (session.RunScratch reuses one RunLog
+// across a worker's cells) at a few hundred bytes instead of megabytes.
+// Records hold no references, so the copy shares nothing with l. An
+// empty list copies as nil whether or not l's slice was allocated, so
+// equal drives give deeply equal copies on a fresh or a used arena.
+func (l *RunLog) Events() *RunLog {
+	return &RunLog{
+		Subject: l.Subject, Scenario: l.Scenario, RunType: l.RunType, Seed: l.Seed,
+		Collisions:     append([]CollisionRecord(nil), l.Collisions...),
+		LaneInvasions:  append([]LaneRecord(nil), l.LaneInvasions...),
+		Faults:         append([]FaultRecord(nil), l.Faults...),
+		ConditionSpans: append([]ConditionSpan(nil), l.ConditionSpans...),
+	}
 }
 
 // ConditionSpan marks a time interval during which a fault condition

@@ -344,7 +344,8 @@ type nopTask struct{}
 func (nopTask) Fire(time.Duration) {}
 
 // BenchmarkFingerprint digests the run log of one 20 s follow-vehicle
-// drive, the log each hub session fingerprints for its outcome digest.
+// drive, the log every drive fingerprints for its outcome. MB/s counts
+// the encoded per-tick records (8 B per value), the bulk of the input.
 func BenchmarkFingerprint(b *testing.B) {
 	prof, _ := driver.SubjectByName("T5")
 	scn := scenario.FollowVehicle()
@@ -356,6 +357,7 @@ func BenchmarkFingerprint(b *testing.B) {
 	if len(out.Log.Ego) == 0 {
 		b.Fatal("empty run log")
 	}
+	b.SetBytes(int64(8 * (17*len(out.Log.Ego) + 13*len(out.Log.Others))))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
